@@ -54,10 +54,15 @@
 // Both paths are failure-hardened. transport.SimNetwork carries a
 // schedulable fault plane (directed partitions and heals, node
 // crash/restart, latency spikes, lost acknowledgements) driven by the
-// simulation clock. Delivery survives it: failed sends park on
-// per-type retry queues with their delivery sequence frozen (sealed
-// envelope v2), receivers dedupe at-least-once replays with a bounded
-// protocol.ReplayFilter, parent re-probes are gated by jittered
+// simulation clock. Delivery survives it through one upward pipeline,
+// the fog node's outbox: batches, degrade summary pushes and alert
+// pushes are kind-tagged items on one per-type queue, sent in kind
+// order (batches, summaries, alerts) through one deliver, and failed
+// sends park back on that queue with their delivery sequence frozen
+// (sealed envelope v2; pushes carry theirs inline). Receivers pass
+// every kind through one gate — replay filter, journal and absorb,
+// mark — deduping at-least-once replays with a bounded
+// protocol.ReplayFilter; parent re-probes are gated by jittered
 // exponential backoff, and after repeated failures batches fail over
 // through sibling fog nodes (transport.KindRelay) with origin
 // identity intact. MaxPendingReadings bounds outage buffering, with
@@ -73,19 +78,22 @@
 // Durability (off by default) makes those guarantees survive process
 // death. A durable node journals its delivery state to an
 // append-only, CRC-framed write-ahead log with generation-rotated
-// snapshots (internal/wal) and recovers it at construction: retry
-// queues with frozen delivery sequences, pending buffers, the
-// sequence counter, and the replay-filter marks that dedupe retried
-// deliveries across the restart; the cloud journals and recovers its
-// archive. Replay is torn-write safe (recovery truncates the corrupt
-// tail back to the last intact record), snapshots rotate atomically,
-// and recovery ordering is snapshot, then log tail, then retry
-// queues. Enable per node (fognode/cloud Config.Durability), per
-// system (core.Options.DataDir, one journal directory per node id),
-// or with f2cd -data-dir; core.System.Reboot simulates a process
-// restart, and the chaos crash-recovery scenario asserts zero loss
-// through crashes at every tier (see README "Durability & recovery";
-// BenchmarkIngestWAL records the overhead in BENCH_PR5.json).
+// snapshots (internal/wal) and recovers it at construction: outbox
+// queues with frozen delivery sequences, pending and degrade buffers,
+// the sequence counter, and the replay-filter marks that dedupe
+// retried deliveries across the restart — one kind-tagged
+// seal/commit record pair covers every item kind, so degraded counts
+// survive a crash too; the cloud journals and recovers its archive,
+// degraded windows and alerts. Replay is torn-write safe (recovery
+// truncates the corrupt tail back to the last intact record),
+// snapshots rotate atomically, and recovery ordering is snapshot,
+// then log tail, then the queues. Enable per node (fognode/cloud
+// Config.Durability), per system (core.Options.DataDir, one journal
+// directory per node id), or with f2cd -data-dir; core.System.Reboot
+// simulates a process restart, and the chaos crash-recovery scenario
+// asserts zero loss through crashes at every tier (see README
+// "Durability & recovery"; BenchmarkIngestWAL records the overhead in
+// BENCH_PR5.json).
 //
 // Tiered segment storage (internal/segment, off by default) bounds
 // the memory of the temporal stores themselves: an LSM-lite engine
@@ -116,11 +124,13 @@
 // identity and delivery sequences intact, so the shared parent's
 // replay filter keeps delivery exactly-once across the ownership
 // flip, and WAL start/commit/absorb records make it crash-safe at
-// every boundary. One type's migration, source side:
+// every boundary. The type's whole outbox moves as one kind-tagged
+// item list (protocol.MigrateTransfer.Items). One type's migration,
+// source side:
 //
-//	OWNED ──MigrateOut──▶ FROZEN   pending sealed, recMigrateStart
-//	FROZEN ──chunks acked──▶ MOVED recMigrateCommit; routing flips
-//	FROZEN ──send fails──▶ OWNED   state reinstalled, sequences kept
+//	OWNED ──MigrateOut──▶ FROZEN   buffers sealed, recMigrateStart
+//	FROZEN ──chunks acked──▶ MOVED recCommit; routing flips
+//	FROZEN ──send fails──▶ OWNED   tail requeued, sequences kept
 //
 // and target side: dedup (From, TransferSeq) -> ack; otherwise
 // journal the raw chunk (recMigrateIn), absorb verbatim, deliver
@@ -140,7 +150,7 @@
 // polling, no raw readings re-read. Fired alerts seal into
 // transport.KindAlertPush batches that ride the delivery plane
 // upward with the same guarantees as data: at-least-once through the
-// frozen-sequence retry queues, instance-level dedup at the cloud
+// same frozen-sequence outbox queues, instance-level dedup at the cloud
 // (protocol.Alert.Key), journaled subscription state so alerts
 // survive System.Reboot, and subscription routing through the
 // ownership rings so a standing query follows its shard across live

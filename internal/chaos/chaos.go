@@ -161,9 +161,9 @@ type Result struct {
 	// Shed is how many readings the MaxPendingReadings bound dropped
 	// (always 0 for unbounded runs).
 	Shed int64
-	// Degraded is how many readings the cloud received as folded
-	// window summaries instead of raw values (always 0 without
-	// DegradeToSummary).
+	// Degraded is how many readings the cloud holds as folded window
+	// summaries instead of raw values, summed over its stored windows
+	// (always 0 without DegradeToSummary).
 	Degraded int64
 	// Duplicates is how many at-least-once duplicate deliveries the
 	// replay filters suppressed across the hierarchy.
@@ -474,7 +474,15 @@ func Run(s Scenario) (Result, error) {
 	// their shed/dup/relay tallies are part of the run's ledger.
 	allNodes := liveNodes()
 	res.Shed = totalShed(sys, allNodes)
-	res.Degraded = sys.Cloud().DegradedReadings()
+	// The degraded ledger counts what the cloud holds: its stored
+	// windows, not its ingest counter — the counter lives in the
+	// shared registry and survives a cloud reboot, the windows only if
+	// they were made durable.
+	for _, typ := range chaosTypes {
+		for _, w := range sys.Cloud().DegradedSummaries(typ.name) {
+			res.Degraded += w.Summary.Count
+		}
+	}
 	res.Dropped = totalDropped(sys, allNodes)
 	res.Duplicates = totalDuplicates(sys, allNodes)
 	res.Relayed, res.Deferred = totalRelayedDeferred(sys, allNodes)

@@ -35,6 +35,11 @@ var scenarios = []Scenario{
 	// and the victims reboot from their write-ahead logs; the run
 	// must still preserve every accepted reading exactly once.
 	{Name: "crash+recover durable", Kind: KindCrashRecovery, Durable: true},
+	// Durable degrading variant: crash reboots at every tier while the
+	// bound folds trimmed readings into summaries — degrade buffers,
+	// sealed summary pushes and the cloud's degraded windows must all
+	// survive the reboots, or the shed + degraded ledger loses counts.
+	{Name: "crash+recover durable degrade", Kind: KindCrashRecovery, Durable: true, MaxPendingReadings: 40, DegradeToSummary: true},
 	// Tiered-storage variant: same crash schedule, but every temporal
 	// store is the segment engine with a tiny memtable, so reboots
 	// land mid-segment-flush and mid-compaction; recovery must stitch

@@ -116,8 +116,8 @@ type Node struct {
 	sched *sched.Scheduler
 	// sumMu guards degraded: per-type window summaries pushed up by
 	// degrading fog nodes — the reduced-resolution record of readings
-	// the edge could not afford to ship raw. Kept in memory (summaries
-	// are the overload fallback, not the archive of record).
+	// the edge could not afford to ship raw. Journaled like the
+	// archive, so a durable cloud recovers them.
 	sumMu    sync.Mutex
 	degraded map[string]map[int64]aggregate.WindowSummary
 	// expireTick counts preserves toward the next automatic retention
@@ -251,22 +251,22 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 	for _, a := range rs.alerts {
 		n.alerts[a.Key()] = a
 	}
+	for i := range rs.degraded {
+		n.acceptSummaryPush(&rs.degraded[i], false)
+	}
 	for _, op := range rs.tail {
-		if op.alerts != nil {
+		switch {
+		case op.alerts != nil:
 			// The tail is the crash window: the record landed but the
 			// in-memory apply may not have. storeAlerts dedupes by
 			// instance key, so replay over the snapshot is exactly-once.
 			n.storeAlerts(op.alerts, false)
-			continue
-		}
-		if op.batch != nil {
+		case op.summary != nil:
+			// A tail push was never folded into the snapshot's windows.
+			n.acceptSummaryPush(op.summary, false)
+		case op.batch != nil:
 			pseq := op.pseq
-			if pseq == 0 { // pre-numbering record: assign in log order
-				counter++
-				pseq = counter
-			} else if pseq > counter {
-				counter = pseq
-			}
+			counter = max(counter, pseq)
 			if _, err := n.archive.Put(op.batch, provenanceOf(op.batch.NodeID, op.from, n.cfg.ID), now); err != nil {
 				return err
 			}
@@ -277,7 +277,7 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 			if err := n.series.AppendSeq(op.batch, pseq); err != nil {
 				return err
 			}
-		} else {
+		default:
 			n.archive.Expire(op.before)
 			if n.segStore != nil {
 				n.segStore.EvictBefore(op.before)
@@ -306,24 +306,47 @@ func (n *Node) Archive() *store.Archive { return n.archive }
 // permanent archiving. On a durable cloud the batch is journaled
 // before it is applied.
 func (n *Node) Preserve(b *model.Batch, from string) error {
-	return n.preserve(b, from, 0)
+	if n.journal != nil {
+		n.journal.mu.Lock()
+		defer n.journal.mu.Unlock()
+	}
+	return n.preserveLocked(b, from, 0)
 }
 
-// preserve journals (durable mode), archives and — when the batch
-// carried a delivery sequence — marks the replay filter, all under
-// the journal mutex so a checkpoint always sees log and state agree.
-// Journaling the mark with the batch closes the recovery hole of
-// separate records: a recovered cloud either has both the batch and
-// its dedup mark or neither, so a sender's retry is either recognized
-// or re-preserves exactly once.
-func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
+// receive is the cloud's one receive gate, shared by every upward
+// kind: a delivery whose (origin, seq) is already marked is
+// acknowledged without re-absorbing; otherwise absorb journals (on a
+// durable cloud) and applies it, and the mark follows — all under the
+// journal mutex, so a checkpoint always sees log, state and replay
+// filter agree. A recovered cloud therefore has an item's state and
+// its dedup mark or neither, and a sender's retry is either recognized
+// or re-absorbed exactly once.
+func (n *Node) receive(origin string, seq uint64, absorb func() error) ([]byte, error) {
+	if n.replay.Seen(origin, seq) {
+		n.dupBatches.Inc()
+		return []byte("ok"), nil
+	}
+	if n.journal != nil {
+		n.journal.mu.Lock()
+		defer n.journal.mu.Unlock()
+	}
+	if err := absorb(); err != nil {
+		return nil, err
+	}
+	n.replay.Mark(origin, seq)
+	return []byte("ok"), nil
+}
+
+// preserveLocked journals (durable mode) and archives one batch under
+// a fresh preserve number; seq is the delivering hop's sequence,
+// journaled with the batch. The caller holds the journal mutex on a
+// durable cloud.
+func (n *Node) preserveLocked(b *model.Batch, from string, seq uint64) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
 	var pseq uint64
 	if n.journal != nil {
-		n.journal.mu.Lock()
-		defer n.journal.mu.Unlock()
 		n.preserveSeq++
 		pseq = n.preserveSeq
 		if err := n.journal.appendPreserveLocked(pseq, seq, from, b); err != nil {
@@ -338,19 +361,30 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	if err := n.series.AppendSeq(b, pseq); err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
-	if seq != 0 {
-		n.replay.Mark(b.NodeID, seq)
-	}
 	n.ingestedBatches.Inc()
 	n.ingestedReads.Add(int64(len(b.Readings)))
 	return nil
 }
 
+// absorbPushLocked journals (durable mode) one summary or alert push,
+// raw payload, then applies it. The caller holds the journal mutex on
+// a durable cloud.
+func (n *Node) absorbPushLocked(kind protocol.ItemKind, payload []byte, apply func()) error {
+	if n.journal != nil {
+		if err := n.journal.appendPushLocked(kind, payload); err != nil {
+			return fmt.Errorf("cloud push: %w", err)
+		}
+	}
+	apply()
+	return nil
+}
+
 // acceptSummaryPush folds a degraded summary push into the cloud's
-// per-type window summaries, deduped by (origin, seq) exactly like
-// batches. The windows merge decomposably, so retries and multi-hop
-// re-emissions (fog1 -> fog2 -> cloud) converge to the same totals.
-func (n *Node) acceptSummaryPush(push protocol.SummaryPush) {
+// per-type window summaries. The windows merge decomposably, so
+// multi-hop re-emissions (fog1 -> fog2 -> cloud) converge to the same
+// totals. Recovery replays with counted=false: restored readings were
+// accounted by their first life.
+func (n *Node) acceptSummaryPush(push *protocol.SummaryPush, counted bool) {
 	n.sumMu.Lock()
 	wins, ok := n.degraded[push.TypeName]
 	if !ok {
@@ -368,27 +402,9 @@ func (n *Node) acceptSummaryPush(push protocol.SummaryPush) {
 		wins[w.StartUnix] = cur
 	}
 	n.sumMu.Unlock()
-	n.degradedReads.Add(push.Readings())
-}
-
-// acceptAlertPush journals (durable mode), stores and marks one
-// decoded alert push, all under the journal mutex so a checkpoint
-// always sees log, alert store and replay filter agree — the same
-// atomicity preserve gives batches. The payload is journaled verbatim:
-// it already carries the (Origin, Seq) delivery identity and every
-// instance identity, so one record recovers both the dedup mark and
-// the stored alerts.
-func (n *Node) acceptAlertPush(push *protocol.AlertPush, payload []byte) error {
-	if n.journal != nil {
-		n.journal.mu.Lock()
-		defer n.journal.mu.Unlock()
-		if err := n.journal.appendAlertLocked(payload); err != nil {
-			return fmt.Errorf("cloud alert: %w", err)
-		}
+	if counted {
+		n.degradedReads.Add(push.Readings())
 	}
-	n.storeAlerts(push, true)
-	n.replay.Mark(push.Origin, push.Seq)
-	return nil
 }
 
 // storeAlerts folds a push's instances into the alert store, deduping
@@ -446,6 +462,27 @@ func (n *Node) DegradedSummaries(typeName string) []aggregate.WindowSummary {
 		out = append(out, w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	return out
+}
+
+// degradedPushes renders the degraded windows as one summary push per
+// type, types and windows in order — the snapshot form.
+func (n *Node) degradedPushes() []protocol.SummaryPush {
+	n.sumMu.Lock()
+	types := make([]string, 0, len(n.degraded))
+	for typ := range n.degraded {
+		types = append(types, typ)
+	}
+	n.sumMu.Unlock()
+	sort.Strings(types)
+	out := make([]protocol.SummaryPush, 0, len(types))
+	for _, typ := range types {
+		p := protocol.SummaryPush{TypeName: typ}
+		for _, w := range n.DegradedSummaries(typ) {
+			p.Windows = append(p.Windows, protocol.SummaryWindow{StartUnix: w.Start.UnixNano(), EndUnix: w.End.UnixNano(), Summary: w.Summary})
+		}
+		out = append(out, p)
+	}
 	return out
 }
 
@@ -544,7 +581,7 @@ func (n *Node) Checkpoint() error {
 	for i, r := range recs {
 		ars[i] = archivedRecord{provenance: r.Provenance, batch: r.Batch}
 	}
-	data, err := encodeCloudSnapshot(nil, n.preserveSeq, n.replay.Dump(), ars, n.AlertInstances())
+	data, err := encodeCloudSnapshot(nil, n.preserveSeq, n.replay.Dump(), ars, n.AlertInstances(), n.degradedPushes())
 	if err != nil {
 		return fmt.Errorf("cloud: checkpoint: %w", err)
 	}
@@ -640,49 +677,31 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		// At-least-once dedup, keyed by the batch's origin so a copy
-		// arriving through a sibling relay and a direct retry dedupe
-		// against each other (see fognode.Handle).
-		if n.replay.Seen(b.NodeID, seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
+		// Keyed by the batch's origin so a copy arriving through a
+		// sibling relay and a direct retry dedupe against each other
+		// (see fognode.Handle).
+		resp, err := n.receive(b.NodeID, seq, func() error { return n.preserveLocked(b, msg.From, seq) })
+		if err == nil {
+			n.maybeCheckpoint()
+			n.maybeExpire()
 		}
-		// preserve journals batch + mark as one record and marks the
-		// filter itself after a successful archive.
-		if err := n.preserve(b, msg.From, seq); err != nil {
-			return nil, err
-		}
-		n.maybeCheckpoint()
-		n.maybeExpire()
-		return []byte("ok"), nil
+		return resp, err
 	case transport.KindAlertPush:
 		push, err := protocol.DecodeAlertPush(msg.Payload)
 		if err != nil {
 			return nil, err
 		}
-		if n.replay.Seen(push.Origin, push.Seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
-		if err := n.acceptAlertPush(push, msg.Payload); err != nil {
-			return nil, err
-		}
-		return []byte("ok"), nil
+		return n.receive(push.Origin, push.Seq, func() error {
+			return n.absorbPushLocked(protocol.ItemAlert, msg.Payload, func() { n.storeAlerts(push, true) })
+		})
 	case transport.KindSummaryPush:
-		var push protocol.SummaryPush
-		if err := protocol.DecodeJSON(msg.Payload, &push); err != nil {
+		push, err := protocol.DecodeSummaryPush(msg.Payload)
+		if err != nil {
 			return nil, err
 		}
-		if err := push.Validate(); err != nil {
-			return nil, err
-		}
-		if n.replay.Seen(push.Origin, push.Seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
-		n.acceptSummaryPush(push)
-		n.replay.Mark(push.Origin, push.Seq)
-		return []byte("ok"), nil
+		return n.receive(push.Origin, push.Seq, func() error {
+			return n.absorbPushLocked(protocol.ItemSummary, msg.Payload, func() { n.acceptSummaryPush(push, true) })
+		})
 	case transport.KindQuery:
 		var req protocol.QueryRequest
 		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {

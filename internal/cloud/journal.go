@@ -13,36 +13,33 @@ import (
 
 // The cloud journal persists the preservation block: every batch the
 // cloud accepts is journaled (with the delivering hop and its delivery
-// sequence) before it is archived, and data-destruction cutoffs are
-// journaled so recovery does not resurrect expired records. The
-// journal mutex makes append+apply atomic against checkpoints, so a
-// snapshot is always a consistent cut of the archive plus the replay
+// sequence) before it is archived, every summary and alert push as its
+// raw wire payload, and data-destruction cutoffs so recovery does not
+// resurrect expired records. The journal mutex makes append+apply+mark
+// atomic against checkpoints, so a snapshot is always a consistent cut
+// of the archive, the degraded windows, the alert store and the replay
 // filter deduping at-least-once retries.
 //
-// Snapshot layout (version 3; version 2 lacked the alert section and
-// version 1 additionally lacked the preserve counter — both are still
-// accepted, v1 falling back to the record count):
+// Snapshot layout (version 4, the only one decoded):
 //
 //	[version u8]
-//	[preserveSeq u64]                       (version >= 2)
+//	[preserveSeq u64]
 //	[origins uvarint] { [origin string] [n uvarint] { [seq u64] }* }*
 //	[records uvarint] { [provenance uvarint { [node string] }*]
 //	                    [batch bytes (sensor wire, uvarint-framed)] }*
-//	[alerts uvarint] { [instance JSON (protocol.Alert, uvarint-framed)] }*   (version >= 3)
+//	[alerts uvarint]  { [instance JSON (protocol.Alert, uvarint-framed)] }*
+//	[degraded uvarint] { [per-type SummaryPush JSON, uvarint-framed] }*
 //
 // Restored records re-enter through the same classification path as
 // live preserves; StoredAt is re-stamped with the recovery clock and
 // version counters restart, which only affects provenance metadata,
 // never the preserved readings.
 const (
-	cloudJournalVersion   = 3
-	cloudJournalVersionV2 = 2
-	cloudJournalVersionV1 = 1
+	cloudJournalVersion = 4
 
-	recPreserve  = 1 // pre-numbering preserve (read-side only)
 	recExpire    = 2
 	recPreserve2 = 3 // preserve carrying its preserve number
-	recAlert     = 4 // accepted alert push (raw wire payload)
+	recPush      = 4 // accepted summary or alert push: [kind u8][raw wire payload]
 )
 
 type cloudJournal struct {
@@ -75,17 +72,16 @@ func (j *cloudJournal) appendPreserveLocked(pseq, seq uint64, from string, b *mo
 	return j.store.Append(j.buf)
 }
 
-// appendAlertLocked journals one accepted alert push verbatim (the
-// payload already carries its (Origin, Seq) delivery identity and the
-// per-alert instance identities, so replay recovers both the dedup
-// mark and the stored instances from one record). The caller holds
-// j.mu for the whole append+apply sequence.
-func (j *cloudJournal) appendAlertLocked(payload []byte) error {
+// appendPushLocked journals one accepted summary or alert push
+// verbatim: the payload already carries its (Origin, Seq) delivery
+// identity and its windows or instance identities, so replay recovers
+// both the dedup mark and the absorbed state from one record. The
+// caller holds j.mu for the whole append+apply sequence.
+func (j *cloudJournal) appendPushLocked(kind protocol.ItemKind, payload []byte) error {
 	if j.closed {
 		return fmt.Errorf("cloud: journal closed")
 	}
-	j.buf = append(j.buf[:0], recAlert)
-	j.buf = append(j.buf, payload...)
+	j.buf = append(append(j.buf[:0], recPush, byte(kind)), payload...)
 	return j.store.Append(j.buf)
 }
 
@@ -109,9 +105,9 @@ func (j *cloudJournal) close() error {
 }
 
 // encodeCloudSnapshot folds the preserve counter, the archive, the
-// filter dump and the stored alert instances into one snapshot
-// payload.
-func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint64, records []archivedRecord, alerts []protocol.Alert) ([]byte, error) {
+// filter dump, the stored alert instances and the degraded windows
+// (one summary push per type) into one snapshot payload.
+func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint64, records []archivedRecord, alerts []protocol.Alert, degraded []protocol.SummaryPush) ([]byte, error) {
 	dst = append(dst, cloudJournalVersion)
 	dst = wal.AppendUint64(dst, preserveSeq)
 	dst = wal.AppendMarkSet(dst, marks)
@@ -133,6 +129,14 @@ func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint
 		}
 		dst = wal.AppendBytes(dst, doc)
 	}
+	dst = wal.AppendUvarint(dst, uint64(len(degraded)))
+	for i := range degraded {
+		doc, err := protocol.EncodeJSON(degraded[i])
+		if err != nil {
+			return nil, fmt.Errorf("cloud: snapshot degraded windows: %w", err)
+		}
+		dst = wal.AppendBytes(dst, doc)
+	}
 	return dst, nil
 }
 
@@ -149,15 +153,13 @@ type cloudRecovery struct {
 	marks   []cloudMark
 	records []archivedRecord
 	// alerts are the snapshot's stored alert instances (already
-	// deduped by instance key when the snapshot was cut).
-	alerts []protocol.Alert
-	tail   []tailOp
+	// deduped by instance key when the snapshot was cut); degraded its
+	// per-type degraded windows.
+	alerts   []protocol.Alert
+	degraded []protocol.SummaryPush
+	tail     []tailOp
 	// preserveSeq is the snapshot's preserve counter: the highest
-	// number assigned to any preserve folded into the snapshot. A
-	// version-1 snapshot (pre-numbering) falls back to its record
-	// count, which is exact when nothing ever expired and otherwise a
-	// safe lower bound (version-1 lives never numbered their series
-	// appends, so no watermark exists to collide with).
+	// number assigned to any preserve folded into the snapshot.
 	preserveSeq uint64
 }
 
@@ -167,32 +169,29 @@ type cloudMark struct {
 }
 
 // tailOp is one replayed journal record: a preserve (batch set, with
-// its preserve number when journaled by a numbering cloud), an alert
-// push (alerts set) or an expire (before set).
+// its preserve number), an alert push (alerts set), a summary push
+// (summary set) or an expire (before set).
 type tailOp struct {
-	batch  *model.Batch
-	from   string
-	pseq   uint64
-	alerts *protocol.AlertPush
-	before time.Time
+	batch   *model.Batch
+	from    string
+	pseq    uint64
+	alerts  *protocol.AlertPush
+	summary *protocol.SummaryPush
+	before  time.Time
 }
 
 func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 	if len(data) == 0 {
 		return nil
 	}
-	version := data[0]
-	if version != cloudJournalVersion && version != cloudJournalVersionV2 && version != cloudJournalVersionV1 {
-		return fmt.Errorf("cloud: unsupported snapshot version %d", version)
+	if data[0] != cloudJournalVersion {
+		return fmt.Errorf("cloud: unsupported snapshot version %d", data[0])
 	}
-	rest := data[1:]
-	var err error
-	if version >= 2 {
-		rs.preserveSeq, rest, err = wal.ReadUint64(rest)
-		if err != nil {
-			return err
-		}
+	preserveSeq, rest, err := wal.ReadUint64(data[1:])
+	if err != nil {
+		return err
 	}
+	rs.preserveSeq = preserveSeq
 	rest, err = wal.ReadMarkSet(rest, func(origin string, seq uint64) {
 		rs.marks = append(rs.marks, cloudMark{origin: origin, seq: seq})
 	})
@@ -231,27 +230,39 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 		}
 		rs.records = append(rs.records, archivedRecord{provenance: prov, batch: b})
 	}
-	if version >= 3 {
-		var alerts uint64
-		alerts, rest, err = wal.ReadUvarint(rest)
+	var alerts uint64
+	alerts, rest, err = wal.ReadUvarint(rest)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < alerts; i++ {
+		var doc []byte
+		doc, rest, err = wal.ReadBytes(rest)
 		if err != nil {
 			return err
 		}
-		for i := uint64(0); i < alerts; i++ {
-			var doc []byte
-			doc, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
-			var a protocol.Alert
-			if err := protocol.DecodeJSON(doc, &a); err != nil {
-				return fmt.Errorf("cloud: snapshot alert: %w", err)
-			}
-			rs.alerts = append(rs.alerts, a)
+		var a protocol.Alert
+		if err := protocol.DecodeJSON(doc, &a); err != nil {
+			return fmt.Errorf("cloud: snapshot alert: %w", err)
 		}
+		rs.alerts = append(rs.alerts, a)
 	}
-	if version == cloudJournalVersionV1 {
-		rs.preserveSeq = uint64(len(rs.records))
+	var degraded uint64
+	degraded, rest, err = wal.ReadUvarint(rest)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < degraded; i++ {
+		var doc []byte
+		doc, rest, err = wal.ReadBytes(rest)
+		if err != nil {
+			return err
+		}
+		var p protocol.SummaryPush
+		if err := protocol.DecodeJSON(doc, &p); err != nil {
+			return fmt.Errorf("cloud: snapshot degraded windows: %w", err)
+		}
+		rs.degraded = append(rs.degraded, p)
 	}
 	return nil
 }
@@ -262,14 +273,10 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 	}
 	body := rec[1:]
 	switch rec[0] {
-	case recPreserve, recPreserve2:
-		var pseq uint64
-		var err error
-		if rec[0] == recPreserve2 {
-			pseq, body, err = wal.ReadUint64(body)
-			if err != nil {
-				return err
-			}
+	case recPreserve2:
+		pseq, body, err := wal.ReadUint64(body)
+		if err != nil {
+			return err
 		}
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -287,13 +294,31 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 		if seq != 0 {
 			rs.marks = append(rs.marks, cloudMark{origin: b.NodeID, seq: seq})
 		}
-	case recAlert:
-		push, err := protocol.DecodeAlertPush(body)
-		if err != nil {
-			return fmt.Errorf("cloud: journal alert: %w", err)
+	case recPush:
+		if len(body) == 0 {
+			return fmt.Errorf("cloud: truncated journal push")
 		}
-		rs.tail = append(rs.tail, tailOp{alerts: push})
-		rs.marks = append(rs.marks, cloudMark{origin: push.Origin, seq: push.Seq})
+		var op tailOp
+		var origin string
+		var seq uint64
+		switch protocol.ItemKind(body[0]) {
+		case protocol.ItemAlert:
+			push, err := protocol.DecodeAlertPush(body[1:])
+			if err != nil {
+				return fmt.Errorf("cloud: journal alert: %w", err)
+			}
+			op.alerts, origin, seq = push, push.Origin, push.Seq
+		case protocol.ItemSummary:
+			push, err := protocol.DecodeSummaryPush(body[1:])
+			if err != nil {
+				return fmt.Errorf("cloud: journal summary: %w", err)
+			}
+			op.summary, origin, seq = push, push.Origin, push.Seq
+		default:
+			return fmt.Errorf("cloud: journal push of unknown kind %d", body[0])
+		}
+		rs.tail = append(rs.tail, op)
+		rs.marks = append(rs.marks, cloudMark{origin: origin, seq: seq})
 	case recExpire:
 		ns, _, err := wal.ReadUint64(body)
 		if err != nil {

@@ -13,9 +13,11 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/fognode"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sim"
+	"f2c/internal/topology"
 	"f2c/internal/transport"
 	"f2c/internal/wal"
 )
@@ -195,5 +197,66 @@ func cloudRecoveryProperty(t *testing.T, seed int64) {
 				failf("checkpoint: %v", err)
 			}
 		}
+	}
+}
+
+// TestCloudRecoveryKeepsDegradedWindows: a fog node under bound 4
+// ingests 8 readings and flushes 4 raw plus a summary push of the 4 it
+// degraded; a crashed cloud must still hold those degraded windows —
+// from the log tail alone, and from a checkpoint — and still dedupe
+// the push it acknowledged.
+func TestCloudRecoveryKeepsDegradedWindows(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			cl := newDurableCloud(t, dir)
+			var pushed []byte // the summary push, kept for a retry
+			net := transport.NewSimNetwork()
+			net.Register("cloud", transport.HandlerFunc(func(ctx context.Context, msg transport.Message) ([]byte, error) {
+				if msg.Kind == transport.KindSummaryPush {
+					pushed = append([]byte(nil), msg.Payload...)
+				}
+				return cl.Handle(ctx, msg)
+			}))
+			fog, err := fognode.New(fognode.Config{
+				Spec:  topology.NodeSpec{ID: "fog2/d01", Layer: topology.LayerFog2, Parent: "cloud"},
+				Clock: sim.NewVirtualClock(c0), Transport: net, Codec: aggregate.CodecNone,
+				MaxPendingReadings: 4, DegradeToSummary: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fog.Ingest(cloudBatch("edge", "traffic", c0, 1, 2, 3, 4, 5, 6, 7, 8)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fog.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint {
+				if err := cl.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Discard() // crash: no Close
+
+			re := newDurableCloud(t, dir)
+			defer re.Close()
+			var degraded int64
+			for _, w := range re.DegradedSummaries("traffic") {
+				degraded += w.Summary.Count
+			}
+			if degraded != 4 {
+				t.Fatalf("recovered degraded windows hold %d readings, want 4", degraded)
+			}
+			if got := len(re.Historical("traffic", c0, c0.Add(time.Hour))); got != 4 {
+				t.Fatalf("recovered raw readings = %d, want 4", got)
+			}
+			if _, err := re.Handle(context.Background(), transport.Message{From: "fog2/d01", To: "cloud", Kind: transport.KindSummaryPush, Payload: pushed}); err != nil {
+				t.Fatal(err)
+			}
+			if got := re.DuplicateBatches(); got != 1 {
+				t.Errorf("summary retry after restart suppressed %d duplicates, want 1", got)
+			}
+		})
 	}
 }

@@ -1,15 +1,13 @@
 package fognode
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"sort"
 	"time"
 
 	"f2c/internal/aggregate"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
-	"f2c/internal/transport"
 )
 
 // Graceful degradation: when MaxPendingReadings trims a type's upward
@@ -20,18 +18,14 @@ import (
 // then loses resolution, not information; the raw-shed path remains
 // only as the last resort when the degrade tier itself overflows.
 //
-// Degraded windows live in memory only (they are the fallback for
-// readings the journal has already recorded as trimmed), so a crash
-// between degrade and push loses at most the degraded resolution —
-// never journaled raw data.
+// A degrade buffer is a type's second unsealed accumulator beside the
+// pending buffer, and a sealed summary push is an outbox item like any
+// other (see outbox.go); a journaled node keeps both across a crash.
 
-// sealedSummary is one summary push frozen under a delivery sequence,
-// sharing the node's batch sequence space so the parent's per-origin
-// replay filter dedups retried pushes exactly like batches.
-type sealedSummary struct {
-	push protocol.SummaryPush
-	seq  uint64
-}
+// maxDegradedWindows bounds how many distinct windows one type's
+// degrade buffer may hold; beyond it new readings fold into the
+// nearest existing window — coarser, still counted.
+const maxDegradedWindows = 64
 
 // degradeBuf accumulates one type's degraded readings as per-window
 // decomposable summaries, keyed by the window's start instant
@@ -39,6 +33,17 @@ type sealedSummary struct {
 type degradeBuf struct {
 	category model.Category
 	windows  map[int64]aggregate.Summary
+}
+
+// degradeBufFor returns a type's degrade buffer, creating it on first
+// use.
+func degradeBufFor(bufs map[string]*degradeBuf, typ string, cat model.Category) *degradeBuf {
+	buf, ok := bufs[typ]
+	if !ok {
+		buf = &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
+		bufs[typ] = buf
+	}
+	return buf
 }
 
 // fold merges one reading into its time window. When the buffer is at
@@ -67,141 +72,80 @@ func abs64(v int64) int64 {
 	return v
 }
 
+// merge folds a summary push's windows into the buffer. The windows
+// merge decomposably, so multi-hop re-emission converges to the same
+// totals.
+func (d *degradeBuf) merge(p *protocol.SummaryPush) {
+	for _, w := range p.Windows {
+		d.windows[w.StartUnix] = d.windows[w.StartUnix].Merge(w.Summary)
+	}
+}
+
+// push renders the buffer as a summary push, windows in time order.
+func (d *degradeBuf) push(origin string, seq uint64, typ string, window time.Duration) *protocol.SummaryPush {
+	p := &protocol.SummaryPush{
+		Origin:   origin,
+		Seq:      seq,
+		TypeName: typ,
+		Category: d.category.String(),
+		Windows:  make([]protocol.SummaryWindow, 0, len(d.windows)),
+	}
+	for ws, s := range d.windows {
+		p.Windows = append(p.Windows, protocol.SummaryWindow{StartUnix: ws, EndUnix: ws + int64(window), Summary: s})
+	}
+	sort.Slice(p.Windows, func(i, j int) bool { return p.Windows[i].StartUnix < p.Windows[j].StartUnix })
+	return p
+}
+
 // degradeLocked folds readings being trimmed from a type's buffer into
 // the shard's degrade buffer. Caller holds the shard lock.
 func (n *Node) degradeLocked(sh *pendingShard, typ string, cat model.Category, readings []model.Reading) {
-	buf, ok := sh.degraded[typ]
-	if !ok {
-		buf = &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
-		sh.degraded[typ] = buf
-	}
-	window := n.cfg.DegradeWindow
+	buf := degradeBufFor(sh.degraded, typ, cat)
 	for _, r := range readings {
-		buf.fold(r, window, n.cfg.MaxDegradedWindows)
+		buf.fold(r, n.cfg.DegradeWindow, maxDegradedWindows)
 	}
 	n.degradedReads.Add(int64(len(readings)))
 }
 
-// sealSummaryLocked freezes a type's degrade buffer into an immutable
-// push under a fresh delivery sequence, windows in time order. Caller
-// holds the shard lock.
-func (n *Node) sealSummaryLocked(typ string, buf *degradeBuf) sealedSummary {
-	window := int64(n.cfg.DegradeWindow)
-	push := protocol.SummaryPush{
-		Origin:   n.cfg.Spec.ID,
-		Seq:      n.seq.Add(1),
-		TypeName: typ,
-		Category: buf.category.String(),
-		Windows:  make([]protocol.SummaryWindow, 0, len(buf.windows)),
+// sealSummaryLocked freezes a type's non-empty degrade buffer into a
+// summary push under a fresh delivery sequence and journals the seal.
+// A buffer whose aggregate cannot be encoded (non-finite values) is
+// counted shed instead. Caller holds the shard lock.
+func (n *Node) sealSummaryLocked(typ string, buf *degradeBuf) (sealed, bool) {
+	if len(buf.windows) == 0 {
+		return sealed{}, false
 	}
-	for ws, s := range buf.windows {
-		push.Windows = append(push.Windows, protocol.SummaryWindow{
-			StartUnix: ws, EndUnix: ws + window, Summary: s,
-		})
+	p := buf.push(n.cfg.Spec.ID, n.seq.Add(1), typ, n.cfg.DegradeWindow)
+	payload, err := protocol.EncodeJSON(p)
+	if err != nil {
+		n.shedReads.Add(p.Readings())
+		return sealed{}, false
 	}
-	sort.Slice(push.Windows, func(i, j int) bool {
-		return push.Windows[i].StartUnix < push.Windows[j].StartUnix
-	})
-	return sealedSummary{push: push, seq: push.Seq}
+	it := summaryItem(p, payload)
+	n.journalSeal(&it)
+	return it, true
 }
 
-// deliverSummary sends one sealed push to the parent. Summaries never
-// ride sibling relays: they exist to relieve an overload, and shifting
-// them sideways would spread it.
-func (n *Node) deliverSummary(ctx context.Context, ss sealedSummary) error {
-	now := n.cfg.Clock.Now()
-	if !n.up.parentDue(now) {
-		return errDeferred
-	}
-	payload, err := protocol.EncodeJSON(ss.push)
+// absorbSummary is the receiving half of degradation: a child pushed
+// degraded windows upward. They fold into this node's own degrade
+// buffer, to be re-emitted upward under this node's identity at its
+// next flush — the same combine-and-forward shape the batch path has.
+// On a durable node the acceptance is journaled first.
+func (n *Node) absorbSummary(p *protocol.SummaryPush, payload []byte) error {
+	sh, err := n.acceptLocked(p.TypeName)
 	if err != nil {
 		return err
 	}
-	msg := transport.Message{
-		From:    n.cfg.Spec.ID,
-		To:      n.cfg.Spec.Parent,
-		Kind:    transport.KindSummaryPush,
-		Class:   ss.push.Category,
-		Payload: payload,
-	}
-	start := time.Now()
-	if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
-		n.up.onParentSuccess()
-		if n.ctl != nil {
-			n.ctl.observeRTT(time.Since(start))
-		}
-		n.summariesEmitted.Inc()
-		n.flushedBytes.Add(msg.WireSize())
-		return nil
-	} else if errors.Is(err, transport.ErrBackpressure) || transport.IsOverload(err) {
-		if n.ctl != nil {
-			n.ctl.onBackpressure()
-		}
-		n.deferredFlushes.Inc()
-		return errDeferred
-	} else {
-		n.up.onParentFailure(now)
-		return err
-	}
-}
-
-// requeueSummaries parks unsent pushes back on their type's summary
-// retry queue, sequences frozen. The queue is bounded by
-// MaxSummaryRetry; beyond it the oldest push is dropped and its folded
-// readings finally counted as shed — the degrade tier is exhausted and
-// raw-shed is the last resort left.
-func (n *Node) requeueSummaries(typ string, pushes []sealedSummary) {
-	if len(pushes) == 0 {
-		return
-	}
-	sh := n.shardFor(typ)
-	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	q := append(sh.sumRetry[typ], pushes...)
-	max := n.cfg.MaxSummaryRetry
-	for max > 0 && len(q) > max {
-		n.shedReads.Add(q[0].push.Readings())
-		q[0] = sealedSummary{}
-		q = q[1:]
+	if n.journal != nil {
+		if err := n.journal.appendSummary(p.Origin, p.Seq, payload); err != nil {
+			return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
+		}
 	}
-	sh.sumRetry[typ] = q
-}
-
-// handleSummaryPush is the receiving half of degradation: a child (or
-// this node's own lower tier) pushed degraded windows upward. They are
-// deduped by (origin, seq) against retries, then folded into this
-// node's own degrade buffer, to be re-emitted upward under this node's
-// identity at its next flush — the same combine-and-forward shape the
-// batch path has.
-func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
-	var push protocol.SummaryPush
-	if err := protocol.DecodeJSON(payload, &push); err != nil {
-		return nil, err
-	}
-	if err := push.Validate(); err != nil {
-		return nil, err
-	}
-	if n.replay.Seen(push.Origin, push.Seq) {
-		n.dupBatches.Inc()
-		return []byte("ok"), nil
-	}
-	cat, _ := model.ParseCategory(push.Category)
-	sh := n.shardFor(push.TypeName)
-	sh.mu.Lock()
-	buf, ok := sh.degraded[push.TypeName]
-	if !ok {
-		buf = &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
-		sh.degraded[push.TypeName] = buf
-	}
-	for _, w := range push.Windows {
-		s := buf.windows[w.StartUnix]
-		s = s.Merge(w.Summary)
-		buf.windows[w.StartUnix] = s
-	}
-	sh.mu.Unlock()
-	n.degradedIn.Add(push.Readings())
-	n.replay.Mark(push.Origin, push.Seq)
-	return []byte("ok"), nil
+	cat, _ := model.ParseCategory(p.Category)
+	degradeBufFor(sh.degraded, p.TypeName, cat).merge(p)
+	n.degradedIn.Add(p.Readings())
+	return nil
 }
 
 // DegradedReadings reports how many buffered readings this node folded
@@ -210,7 +154,7 @@ func (n *Node) DegradedReadings() int64 { return n.degradedReads.Value() }
 
 // SummariesEmitted reports how many degraded summary pushes this node
 // delivered upward.
-func (n *Node) SummariesEmitted() int64 { return n.summariesEmitted.Value() }
+func (n *Node) SummariesEmitted() int64 { return n.sent[protocol.ItemSummary].Value() }
 
 // DegradedInbound reports how many degraded readings arrived from
 // below as summary pushes.

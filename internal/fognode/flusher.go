@@ -92,13 +92,26 @@ func (n *Node) run() {
 	}
 }
 
-// Close stops the background flusher (if running), waits for it to
-// exit, then performs a final synchronous flush so no pending data is
-// lost on shutdown. A durable node additionally writes a final
-// checkpoint and closes its journal, so the next start recovers from
-// the snapshot alone. Safe to call multiple times.
-func (n *Node) Close(ctx context.Context) error {
+// stop ends the background flusher and refuses further acceptances.
+// Taking every shard lock once is the barrier that lets an acceptance
+// already past the check land before the caller's final flush.
+func (n *Node) stop() {
 	n.lc.end()
+	n.closed.Store(true)
+	for i := range n.shards {
+		n.shards[i].mu.Lock()
+		n.shards[i].mu.Unlock()
+	}
+}
+
+// Close stops the background flusher (if running), waits for it to
+// exit, refuses further ingest, then performs a final synchronous
+// flush so no pending data is lost on shutdown. A durable node
+// additionally writes a final checkpoint and closes its journal, so
+// the next start recovers from the snapshot alone. Safe to call
+// multiple times.
+func (n *Node) Close(ctx context.Context) error {
+	n.stop()
 	var err error
 	if n.cfg.Spec.Parent != "" || n.PendingBatches() > 0 {
 		err = n.Flush(ctx)
@@ -126,7 +139,7 @@ func (n *Node) Close(ctx context.Context) error {
 // instance is replaced by a restart simulation; a real crash gets the
 // same on-disk picture without the courtesy of the close.
 func (n *Node) Discard() {
-	n.lc.end()
+	n.stop()
 	if n.journal != nil {
 		_ = n.journal.close()
 	}

@@ -2,8 +2,11 @@ package fognode
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"f2c/internal/cq"
 	"f2c/internal/model"
@@ -13,84 +16,78 @@ import (
 )
 
 // The fog-node journal persists exactly the state the upward-delivery
-// guarantee depends on, as one record per state transition:
+// guarantee depends on, as one record per state transition. Four
+// records carry the outbox (see outbox.go); the first three are tagged
+// with the item kind they concern (batch, summary or alert):
 //
-//	recBatch   readings accepted into the per-type pending buffer;
-//	           when the batch arrived sequenced over the transport,
-//	           the record also carries its (origin, seq) replay-filter
-//	           mark, so acceptance and dedup state commit atomically —
-//	           a recovered receiver either has both the batch and its
-//	           mark or neither, and a sender's retry is either
-//	           recognized or re-accepted exactly once
-//	recSeal    a pending buffer frozen under a delivery sequence
-//	           (it becomes one retry-queue batch until committed)
-//	recCommit  a sealed batch delivered and acknowledged upward
-//	recShed    readings dropped oldest-first by MaxPendingReadings
+//	recBatch   an item accepted into a type's unsealed accumulator —
+//	           readings into the pending buffer, or a child's summary
+//	           push into the degrade buffer — together with the
+//	           delivering hop's (origin, seq) replay-filter mark, so
+//	           acceptance and dedup state commit atomically: a
+//	           recovered receiver either has both or neither, and a
+//	           sender's retry is either recognized or re-accepted
+//	           exactly once
+//	recSeal    an item frozen onto a type's queue under its delivery
+//	           sequence. A batch seal freezes the pending buffer's
+//	           first count readings; a summary or alert seal carries
+//	           the push's wire payload — an own summary seal empties
+//	           the degrade buffer, a child's alert push is queued
+//	           verbatim (and its receive mark restored), and a fold's
+//	           re-seal replaces the earlier seal of the same identity
+//	           in place
+//	recCommit  items no longer this node's responsibility — delivered
+//	           upward, handed off by a migration, or dropped by a
+//	           bound — each named by (kind, seq, origin)
+//	recShed    readings trimmed oldest-first by MaxPendingReadings;
+//	           with DegradeToSummary, replay folds them into the
+//	           degrade buffer exactly as the live trim did
 //
-// plus the live shard-migration records (see migrate.go):
+// plus live shard migration (see migrate.go):
 //
-//	recMigrateStart   a type's state frozen for handoff to a new
-//	                  owner, with the counter after the handoff's
-//	                  transfer sequences were reserved — an
-//	                  uncommitted handoff keeps the moved batches in
-//	                  their seal groups (recovery lands on local
-//	                  ownership) but the counter must stay past the
-//	                  reserved sequences the target may have marked
-//	recMigrateCommit  the handoff's moved sequences acknowledged by
-//	                  the new owner; replay removes them from the
-//	                  seal groups (like recCommit, batched)
-//	recMigrateIn      one absorbed handoff chunk, raw transfer
-//	                  payload; replay re-absorbs the entries and
-//	                  marks verbatim (degrade summaries stay
-//	                  in-memory-only, matching the degrade tier's
-//	                  crash contract)
+//	recMigrateStart  a type's handoff began, with the counter after its
+//	                 transfer sequences were reserved — an uncommitted
+//	                 handoff keeps the moved items queued (recovery
+//	                 lands on local ownership) but the counter must stay
+//	                 past the reserved sequences the target may have
+//	                 marked
+//	recMigrateIn     one absorbed handoff chunk, raw transfer payload;
+//	                 replay re-absorbs its items and marks verbatim
+//
+// and the standing continuous queries (see alerts.go):
+//
+//	recSubscribe    a subscription registered (JSON definition)
+//	recUnsubscribe  a subscription cancelled (or handed off by a
+//	                completed shard migration)
 //
 // Record appends happen under the same locks as the state changes
 // they describe (the pending-shard mutex), so replaying the log
 // reproduces the per-type state machine transition by transition.
-// Recovery ordering is snapshot first, then the log tail, then the
-// retry queues and pending buffers are installed into the shards.
-//
-// plus the continuous-query alert plane (see alerts.go):
-//
-//	recSubscribe    a standing subscription registered (JSON
-//	                definition) — the Subscribe acceptance gate
-//	recUnsubscribe  a subscription cancelled (or handed off by a
-//	                completed shard migration)
-//	recAlertSeal    one alert push frozen on a shard's alert queue,
-//	                raw wire payload; keyed by the push's
-//	                (origin, seq) on replay, so a retry-fold's
-//	                re-seal of the merged push replaces the earlier
-//	                seal at its original queue position
-//	recAlertCommit  a push delivered and acknowledged upward (or
-//	                handed off by a completed shard migration)
-//
-// Record appends happen under the same locks as the state changes
-// they describe. recBatch, recMigrateIn, recSubscribe and the
-// inbound-absorb recAlertSeal are acceptance gates: if the record
-// cannot be appended the operation fails and the sender retries. The
-// other records are best-effort — losing one degrades toward
-// re-delivery (which the receiver-side replay filter or the cloud's
-// per-instance alert dedup absorbs) rather than loss.
+// recBatch, recMigrateIn, recSubscribe and the seal of a child's alert
+// push are acceptance gates: if the record cannot be appended the
+// operation fails and the sender retries. The other records are best
+// effort — losing one degrades toward re-delivery (which the
+// receiver-side replay filter or the cloud's per-instance alert dedup
+// absorbs) rather than loss. Recovery ordering is snapshot first, then
+// the log tail, then installation into the shards.
 const (
 	// journalVersion is the snapshot layout version written by
-	// checkpoints; version-1 snapshots (pre-alert-plane) still decode.
-	journalVersion = 2
+	// checkpoints, and the only one recovery reads.
+	journalVersion = 3
 
-	recBatch  = 1
-	recSeal   = 2
-	recCommit = 3
-	recShed   = 4
-
-	recMigrateStart  = 5
-	recMigrateCommit = 6
-	recMigrateIn     = 7
-
-	recSubscribe   = 8
-	recUnsubscribe = 9
-	recAlertSeal   = 10
-	recAlertCommit = 11
+	recBatch        = 1
+	recSeal         = 2
+	recCommit       = 3
+	recShed         = 4
+	recMigrateStart = 5
+	recMigrateIn    = 6
+	recSubscribe    = 7
+	recUnsubscribe  = 8
 )
+
+// errJournalClosed rejects appends after close: acceptance gates
+// surface it, best-effort appends drop it.
+var errJournalClosed = errors.New("fognode: journal closed")
 
 // journal wraps the node's wal.Store with the record codec. Its mutex
 // serializes appends and excludes them during checkpoints.
@@ -109,12 +106,42 @@ func openJournal(cfg wal.Config) (*journal, error) {
 	return &journal{store: st}, nil
 }
 
-// appendBatch journals readings accepted into the pending buffer,
-// together with the delivery mark (origin, seq) of the transport hop
-// that carried them (zero when the batch arrived unsequenced — a
-// local edge ingest or a v1 envelope). The batch is logged with the
-// node's own identity — the shape the pending buffer holds and a
-// recovered flush would send.
+// write appends one record, built into the journal's scratch buffer.
+func (j *journal) write(build func(dst []byte) []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return errJournalClosed
+	}
+	j.buf = build(j.buf[:0])
+	return j.store.Append(j.buf)
+}
+
+// acceptRecord starts a recBatch record for an item of the given kind
+// carrying the delivery mark (origin, seq) of the transport hop that
+// brought it — zero when it arrived unsequenced (a local edge ingest,
+// a v1 envelope, a snapshot entry). The caller appends the body: the
+// sensor wire of a batch, the payload of a summary push.
+func acceptRecord(dst []byte, kind protocol.ItemKind, origin string, seq uint64) []byte {
+	dst = append(dst, recBatch, byte(kind))
+	dst = wal.AppendUint64(dst, seq)
+	return wal.AppendString(dst, origin)
+}
+
+// sealRecord encodes the recSeal of one queued item.
+func sealRecord(dst []byte, it *sealed) []byte {
+	dst = append(dst, recSeal, byte(it.kind))
+	dst = wal.AppendUint64(dst, it.seq)
+	dst = wal.AppendString(dst, it.typ)
+	if it.kind == protocol.ItemBatch {
+		return wal.AppendUvarint(dst, uint64(len(it.b.Readings)))
+	}
+	return append(dst, it.payload...)
+}
+
+// appendBatch journals readings accepted into the pending buffer. The
+// batch is logged with the node's own identity — the shape the pending
+// buffer holds and a recovered flush would send.
 func (j *journal) appendBatch(nodeID string, b *model.Batch, origin string, seq uint64) error {
 	up := model.Batch{
 		NodeID:    nodeID,
@@ -123,105 +150,64 @@ func (j *journal) appendBatch(nodeID string, b *model.Batch, origin string, seq 
 		Collected: b.Collected,
 		Readings:  b.Readings,
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recBatch)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, origin)
-	j.buf = sensor.AppendBatch(j.buf, &up)
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte {
+		return sensor.AppendBatch(acceptRecord(dst, protocol.ItemBatch, origin, seq), &up)
+	})
 }
 
-func (j *journal) appendSeal(typ string, seq uint64, count int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recSeal)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendUvarint(j.buf, uint64(count))
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+// appendSummary journals a child's summary push, raw payload,
+// accepted into the degrade buffer.
+func (j *journal) appendSummary(origin string, seq uint64, payload []byte) error {
+	return j.write(func(dst []byte) []byte {
+		return append(acceptRecord(dst, protocol.ItemSummary, origin, seq), payload...)
+	})
 }
 
-func (j *journal) appendCommit(typ string, seq uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recCommit)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+func (j *journal) appendSeal(it *sealed) error {
+	return j.write(func(dst []byte) []byte { return sealRecord(dst, it) })
+}
+
+func (j *journal) appendCommit(typ string, items []sealed) error {
+	return j.write(func(dst []byte) []byte {
+		dst = append(dst, recCommit)
+		dst = wal.AppendString(dst, typ)
+		dst = wal.AppendUvarint(dst, uint64(len(items)))
+		for i := range items {
+			dst = append(dst, byte(items[i].kind))
+			dst = wal.AppendUint64(dst, items[i].seq)
+			dst = wal.AppendString(dst, items[i].origin)
+		}
+		return dst
+	})
 }
 
 func (j *journal) appendShed(typ string, count int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recShed)
-	j.buf = wal.AppendUvarint(j.buf, uint64(count))
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte {
+		dst = wal.AppendUvarint(append(dst, recShed), uint64(count))
+		return wal.AppendString(dst, typ)
+	})
 }
 
-// appendMigrateStart journals a type's state leaving the shard maps
-// for a handoff, carrying the sequence counter after the handoff's
-// transfer sequences were reserved. Best-effort, like seals: the moved
-// state is covered either way (replay keeps uncommitted batches in
-// their seal groups), but the watermark keeps a recovered counter past
-// the reserved transfer sequences — the target may have marked them,
-// and a reused sequence would be deduped there silently.
+// appendMigrateStart journals a type's handoff beginning, carrying the
+// sequence counter after the handoff's transfer sequences were
+// reserved. Best-effort, like seals: the moved items are covered
+// either way (replay keeps uncommitted items queued), but the
+// watermark keeps a recovered counter past the reserved transfer
+// sequences — the target may have marked them, and a reused sequence
+// would be deduped there silently.
 func (j *journal) appendMigrateStart(typ, target string, seqHigh uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recMigrateStart)
-	j.buf = wal.AppendString(j.buf, typ)
-	j.buf = wal.AppendString(j.buf, target)
-	j.buf = wal.AppendUint64(j.buf, seqHigh)
-	return j.store.Append(j.buf)
-}
-
-// appendMigrateCommit journals the sequences a completed handoff
-// moved off this node: the new owner acknowledged them, so recovery
-// must not resurrect them here.
-func (j *journal) appendMigrateCommit(typ string, seqs []uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recMigrateCommit)
-	j.buf = wal.AppendString(j.buf, typ)
-	j.buf = wal.AppendUvarint(j.buf, uint64(len(seqs)))
-	for _, seq := range seqs {
-		j.buf = wal.AppendUint64(j.buf, seq)
-	}
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte {
+		dst = wal.AppendString(append(dst, recMigrateStart), typ)
+		dst = wal.AppendString(dst, target)
+		return wal.AppendUint64(dst, seqHigh)
+	})
 }
 
 // appendMigrateIn journals one absorbed handoff chunk, raw transfer
 // payload. Like appendBatch it is the acceptance gate: a failure
 // rejects the chunk and the source keeps the state.
 func (j *journal) appendMigrateIn(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recMigrateIn)
-	j.buf = wal.AppendBytes(j.buf, payload)
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte { return wal.AppendBytes(append(dst, recMigrateIn), payload) })
 }
 
 // appendSubscribe journals a standing subscription's registration —
@@ -231,58 +217,11 @@ func (j *journal) appendSubscribe(sub cq.Subscription) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recSubscribe)
-	j.buf = wal.AppendBytes(j.buf, doc)
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte { return wal.AppendBytes(append(dst, recSubscribe), doc) })
 }
 
 func (j *journal) appendUnsubscribe(id string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recUnsubscribe)
-	j.buf = wal.AppendString(j.buf, id)
-	return j.store.Append(j.buf)
-}
-
-// appendAlertSeal journals one alert push (raw wire payload) frozen
-// on a shard's alert queue. For a push absorbed from a child it is
-// the acceptance gate (a failure rejects the push and the child
-// retries); for this node's own fires the caller treats it as
-// best-effort — a lost record degrades toward the window refiring
-// after a crash, a duplicate instance the cloud's dedup absorbs.
-func (j *journal) appendAlertSeal(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recAlertSeal)
-	j.buf = wal.AppendBytes(j.buf, payload)
-	return j.store.Append(j.buf)
-}
-
-// appendAlertCommit journals a push delivered and acknowledged
-// upward (or folded into a successor, or handed off by a completed
-// migration): recovery must not resurrect it.
-func (j *journal) appendAlertCommit(typ, origin string, seq uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recAlertCommit)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, origin)
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+	return j.write(func(dst []byte) []byte { return wal.AppendString(append(dst, recUnsubscribe), id) })
 }
 
 // checkpointDue reports whether the log has grown past the automatic
@@ -324,54 +263,62 @@ func (j *journal) close() error {
 	return j.store.Close()
 }
 
-// Snapshot layout (version 2; version 1 ends after the entries):
+// Snapshot layout (version 3):
 //
 //	[version u8]
 //	[seq counter u64]
 //	[origins uvarint] { [origin string] [n uvarint] { [seq u64] }* }*
-//	[entries uvarint] { [kind u8: 0 pending, 1 sealed] [seq u64]
-//	                    [batch bytes (sensor wire, uvarint-framed)] }*
+//	[entries uvarint] { [journal record, uvarint-framed] }*
 //	[subs uvarint]    { [cq.SubSnapshot JSON, uvarint-framed] }*
-//	[alerts uvarint]  { [alert push wire payload, uvarint-framed] }*
 //
-// Entries are grouped per type — sealed batches in retry-queue order,
-// then the pending buffer — and route by the embedded batch's type on
-// decode; queued alert pushes likewise route by their embedded type,
-// per-type queue order preserved.
-const (
-	snapEntryPending = 0
-	snapEntrySealed  = 1
-)
-
+// The delivery state is one kind-tagged entry list, written as the
+// journal records that rebuild it so recovery replays snapshot and log
+// tail through the same applyRecord: per type, each queued item (a
+// batch as its unsequenced acceptance plus its seal, a summary or
+// alert push as its seal), then the pending buffer and the degrade
+// buffer as unsequenced acceptances.
 func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64, shards []pendingShard, subs []cq.SubSnapshot) ([]byte, error) {
-	dst = append(dst, journalVersion)
-	dst = wal.AppendUint64(dst, seqCounter)
-	dst = wal.AppendMarkSet(dst, marks)
 	entries := 0
 	for i := range shards {
 		sh := &shards[i]
-		for _, q := range sh.retry {
-			entries += len(q)
-		}
-		entries += len(sh.pending)
-	}
-	dst = wal.AppendUvarint(dst, uint64(entries))
-	var wire []byte
-	appendEntry := func(kind byte, seq uint64, b *model.Batch) {
-		dst = append(dst, kind)
-		dst = wal.AppendUint64(dst, seq)
-		wire = sensor.AppendBatch(wire[:0], b)
-		dst = wal.AppendBytes(dst, wire)
-	}
-	for i := range shards {
-		sh := &shards[i]
-		for _, q := range sh.retry {
-			for _, sb := range q {
-				appendEntry(snapEntrySealed, sb.seq, sb.b)
+		for _, q := range sh.queue {
+			for k := range q {
+				entries++
+				if q[k].kind == protocol.ItemBatch {
+					entries++
+				}
 			}
 		}
-		for _, b := range sh.pending {
-			appendEntry(snapEntryPending, 0, b)
+		entries += len(sh.pending) + len(sh.degraded)
+	}
+	dst = append(dst, journalVersion)
+	dst = wal.AppendUint64(dst, seqCounter)
+	dst = wal.AppendMarkSet(dst, marks)
+	dst = wal.AppendUvarint(dst, uint64(entries))
+	var rec []byte
+	for i := range shards {
+		sh := &shards[i]
+		for _, q := range sh.queue {
+			for k := range q {
+				if q[k].kind == protocol.ItemBatch {
+					rec = sensor.AppendBatch(acceptRecord(rec[:0], protocol.ItemBatch, "", 0), q[k].b)
+					dst = wal.AppendBytes(dst, rec)
+				}
+				rec = sealRecord(rec[:0], &q[k])
+				dst = wal.AppendBytes(dst, rec)
+			}
+		}
+		for _, p := range sh.pending {
+			rec = sensor.AppendBatch(acceptRecord(rec[:0], protocol.ItemBatch, "", 0), p)
+			dst = wal.AppendBytes(dst, rec)
+		}
+		for typ, d := range sh.degraded {
+			payload, err := protocol.EncodeJSON(d.push("", 0, typ, 0))
+			if err != nil {
+				return nil, err
+			}
+			rec = append(acceptRecord(rec[:0], protocol.ItemSummary, "", 0), payload...)
+			dst = wal.AppendBytes(dst, rec)
 		}
 	}
 	dst = wal.AppendUvarint(dst, uint64(len(subs)))
@@ -382,38 +329,23 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 		}
 		dst = wal.AppendBytes(dst, doc)
 	}
-	nAlerts := 0
-	for i := range shards {
-		for _, q := range shards[i].alerts {
-			nAlerts += len(q)
-		}
-	}
-	dst = wal.AppendUvarint(dst, uint64(nAlerts))
-	for i := range shards {
-		for _, q := range shards[i].alerts {
-			for k := range q {
-				payload, err := protocol.EncodeAlertPush(&q[k].push)
-				if err != nil {
-					return nil, err
-				}
-				dst = wal.AppendBytes(dst, payload)
-			}
-		}
-	}
 	return dst, nil
 }
 
 // recoveryState accumulates the replayed delivery state before it is
 // installed into a node.
 type recoveryState struct {
-	// self is the recovering node's ID: it decides which alert
-	// sequences advance the counter (own pushes) and which fired
-	// alerts re-mark the engine's emitted sets (own fires).
-	self       string
-	seqCounter uint64
-	sawSeq     bool
-	marks      []markEntry
-	types      map[string]*typeRecovery
+	// self is the recovering node's ID: its own sequences advance the
+	// counter and its own fires re-mark the engine's emitted sets.
+	self string
+	// degradeWindow is the DegradeToSummary window (zero when the node
+	// does not degrade): replayed trims fold into degraded with it.
+	degradeWindow time.Duration
+	seqCounter    uint64
+	sawSeq        bool
+	marks         []markEntry
+	types         map[string]*typeRecovery
+	degraded      map[string]*degradeBuf
 	// stored collects every replayed batch for the local time-series
 	// store: recovery restores real-time reads over the checkpoint
 	// window, not just the undelivered buffers.
@@ -431,11 +363,6 @@ type recoveryState struct {
 	subEvents  []subOp
 	observed   []*model.Batch
 	alertMarks []alertMark
-	// Queued alert pushes, keyed (origin, seq) in first-seen order: a
-	// fold's re-seal of the merged push replaces the earlier seal at
-	// its original position, and a commit removes the key.
-	alertOrder []alertKey
-	alertByKey map[alertKey]*protocol.AlertPush
 }
 
 type markEntry struct {
@@ -457,40 +384,18 @@ type alertMark struct {
 	start int64
 }
 
-type alertKey struct {
-	origin string
-	seq    uint64
-}
-
+// typeRecovery is one type's replayed outbox queue (kind-ordered, like
+// the live one) and pending buffer.
 type typeRecovery struct {
-	groups  []sealedBatch // retry queue, seal order
+	queue   []sealed
 	pending *model.Batch
 }
 
 func newRecoveryState() *recoveryState {
 	return &recoveryState{
-		types:      make(map[string]*typeRecovery),
-		alertByKey: make(map[alertKey]*protocol.AlertPush),
+		types:    make(map[string]*typeRecovery),
+		degraded: make(map[string]*degradeBuf),
 	}
-}
-
-// addAlertPush folds one sealed alert push into the recovery state:
-// counter watermark for own sequences, emitted marks for own fires,
-// and the keyed queue entry (replace on re-seal, append otherwise).
-func (rs *recoveryState) addAlertPush(p *protocol.AlertPush) {
-	if p.Origin == rs.self {
-		rs.noteSeq(p.Seq)
-	}
-	for i := range p.Alerts {
-		if p.Alerts[i].FiredBy == rs.self {
-			rs.alertMarks = append(rs.alertMarks, alertMark{subID: p.Alerts[i].SubID, start: p.Alerts[i].StartUnix})
-		}
-	}
-	k := alertKey{origin: p.Origin, seq: p.Seq}
-	if _, ok := rs.alertByKey[k]; !ok {
-		rs.alertOrder = append(rs.alertOrder, k)
-	}
-	rs.alertByKey[k] = p
 }
 
 func (rs *recoveryState) typeState(typ string) *typeRecovery {
@@ -509,16 +414,61 @@ func (rs *recoveryState) noteSeq(seq uint64) {
 	rs.sawSeq = true
 }
 
+// add files a recovered item on its type's queue — a fold's re-seal
+// replaces the earlier seal of the same identity in place — keeping
+// the counter past this node's own sequences. An alert push also
+// restores the emitted marks of this node's own fires and, when a
+// child's push was absorbed, its receive mark.
+func (rs *recoveryState) add(it sealed) error {
+	if it.origin == rs.self {
+		rs.noteSeq(it.seq)
+	}
+	if it.kind == protocol.ItemAlert {
+		p, err := protocol.DecodeAlertPush(it.payload)
+		if err != nil {
+			return err
+		}
+		for i := range p.Alerts {
+			if p.Alerts[i].FiredBy == rs.self {
+				rs.alertMarks = append(rs.alertMarks, alertMark{subID: p.Alerts[i].SubID, start: p.Alerts[i].StartUnix})
+			}
+		}
+		if it.origin != rs.self {
+			rs.marks = append(rs.marks, markEntry{origin: it.origin, seq: it.seq})
+		}
+	}
+	tr := rs.typeState(it.typ)
+	if i := slices.IndexFunc(tr.queue, func(q sealed) bool { return sameItem(&q, &it) }); i >= 0 {
+		tr.queue[i] = it
+	} else {
+		tr.queue = byKind(append(tr.queue, it))
+	}
+	return nil
+}
+
+// freeze peels the pending buffer's first count readings off as one
+// sealed batch (the whole buffer when count covers it).
+func (tr *typeRecovery) freeze(count uint64) *model.Batch {
+	b := tr.pending
+	if count >= uint64(len(b.Readings)) {
+		tr.pending = nil
+		return b
+	}
+	head, rest := *b, *b
+	head.Readings = b.Readings[:count:count]
+	rest.Readings = b.Readings[count:]
+	tr.pending = &rest
+	return &head
+}
+
 func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 	if len(data) == 0 {
 		return nil
 	}
-	version := data[0]
-	if version == 0 || version > journalVersion {
-		return fmt.Errorf("fognode: unsupported snapshot version %d", version)
+	if data[0] != journalVersion {
+		return fmt.Errorf("fognode: unsupported snapshot version %d", data[0])
 	}
-	rest := data[1:]
-	seqCounter, rest, err := wal.ReadUint64(rest)
+	seqCounter, rest, err := wal.ReadUint64(data[1:])
 	if err != nil {
 		return err
 	}
@@ -534,82 +484,31 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 		return err
 	}
 	for i := uint64(0); i < entries; i++ {
-		if len(rest) == 0 {
-			return fmt.Errorf("fognode: truncated snapshot entry")
-		}
-		kind := rest[0]
-		rest = rest[1:]
-		var seq uint64
-		seq, rest, err = wal.ReadUint64(rest)
-		if err != nil {
+		var rec []byte
+		if rec, rest, err = wal.ReadBytes(rest); err != nil {
 			return err
 		}
-		var wire []byte
-		wire, rest, err = wal.ReadBytes(rest)
-		if err != nil {
-			return err
+		if err := rs.applyRecord(rec); err != nil {
+			return fmt.Errorf("fognode: snapshot entry %d: %w", i, err)
 		}
-		b, err := sensor.DecodeBatch(wire)
-		if err != nil {
-			return fmt.Errorf("fognode: snapshot batch: %w", err)
-		}
-		tr := rs.typeState(b.TypeName)
-		switch kind {
-		case snapEntrySealed:
-			// Clone: rs.stored keeps b for the local-store replay, and
-			// a shed replayed from the tail trims the group's readings
-			// in place — that must not eat into the store's copy.
-			tr.groups = append(tr.groups, sealedBatch{b: b.Clone(), seq: seq})
-			rs.noteSeq(seq)
-		case snapEntryPending:
-			// Clone: rs.stored keeps b for the local-store replay, and
-			// the pending buffer must not mutate it when later entries
-			// merge in.
-			if tr.pending == nil {
-				tr.pending = b.Clone()
-			} else {
-				tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
-			}
-		default:
-			return fmt.Errorf("fognode: unknown snapshot entry kind %d", kind)
-		}
-		rs.stored = append(rs.stored, b)
 	}
-	if version >= 2 {
-		nSubs, r, err := wal.ReadUvarint(rest)
-		if err != nil {
+	// The engine snapshot already folded every batch the checkpoint
+	// holds: only the log tail's batches are re-observed.
+	rs.observed = nil
+	nSubs, rest, err := wal.ReadUvarint(rest)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < nSubs; i++ {
+		var doc []byte
+		if doc, rest, err = wal.ReadBytes(rest); err != nil {
 			return err
 		}
-		rest = r
-		for i := uint64(0); i < nSubs; i++ {
-			var doc []byte
-			doc, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
-			snap, err := cq.DecodeSubSnapshot(doc)
-			if err != nil {
-				return fmt.Errorf("fognode: snapshot subscription: %w", err)
-			}
-			rs.snapSubs = append(rs.snapSubs, *snap)
-		}
-		nAlerts, r2, err := wal.ReadUvarint(rest)
+		snap, err := cq.DecodeSubSnapshot(doc)
 		if err != nil {
-			return err
+			return fmt.Errorf("fognode: snapshot subscription: %w", err)
 		}
-		rest = r2
-		for i := uint64(0); i < nAlerts; i++ {
-			var payload []byte
-			payload, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
-			p, err := protocol.DecodeAlertPush(payload)
-			if err != nil {
-				return fmt.Errorf("fognode: snapshot alert push: %w", err)
-			}
-			rs.addAlertPush(p)
-		}
+		rs.snapSubs = append(rs.snapSubs, *snap)
 	}
 	return nil
 }
@@ -617,13 +516,14 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 // applyRecord replays one log record onto the recovery state, the same
 // transition the live path journaled.
 func (rs *recoveryState) applyRecord(rec []byte) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("fognode: empty journal record")
+	if len(rec) < 2 {
+		return fmt.Errorf("fognode: truncated journal record")
 	}
 	body := rec[1:]
 	switch rec[0] {
 	case recBatch:
-		seq, rest, err := wal.ReadUint64(body)
+		kind := protocol.ItemKind(body[0])
+		seq, rest, err := wal.ReadUint64(body[1:])
 		if err != nil {
 			return err
 		}
@@ -631,31 +531,71 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		b, err := sensor.DecodeBatch(rest)
-		if err != nil {
-			return fmt.Errorf("fognode: journal batch: %w", err)
+		switch kind {
+		case protocol.ItemBatch:
+			b, err := sensor.DecodeBatch(rest)
+			if err != nil {
+				return fmt.Errorf("fognode: journal batch: %w", err)
+			}
+			tr := rs.typeState(b.TypeName)
+			// Clone: the merge below and later trims must not touch the
+			// stored batch.
+			if tr.pending == nil {
+				tr.pending = b.Clone()
+			} else {
+				tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
+			}
+			rs.stored = append(rs.stored, b)
+			rs.observed = append(rs.observed, b)
+		case protocol.ItemSummary:
+			var p protocol.SummaryPush
+			if err := protocol.DecodeJSON(rest, &p); err != nil {
+				return fmt.Errorf("fognode: journal summary: %w", err)
+			}
+			cat, _ := model.ParseCategory(p.Category)
+			degradeBufFor(rs.degraded, p.TypeName, cat).merge(&p)
+		default:
+			return fmt.Errorf("fognode: journal acceptance of unknown kind %d", kind)
 		}
 		if seq != 0 {
-			// The acceptance carried a delivery mark: restore it with
-			// the batch so a recovered receiver still dedupes the
-			// sender's retry.
+			// The acceptance carried a delivery mark: restore it with the
+			// state so a recovered receiver still dedupes the sender's
+			// retry.
 			rs.marks = append(rs.marks, markEntry{origin: origin, seq: seq})
 		}
-		tr := rs.typeState(b.TypeName)
-		// Clone for the same reason as the snapshot pending entries:
-		// the merge below must not grow the stored batch.
-		if tr.pending == nil {
-			tr.pending = b.Clone()
-		} else {
-			tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
-		}
-		rs.stored = append(rs.stored, b)
-		// Tail batches were accepted after the checkpoint's engine
-		// snapshot, so the cq engine must re-observe them (snapshot
-		// entries must not be — their readings are already folded).
-		rs.observed = append(rs.observed, b)
 	case recSeal:
-		seq, rest, err := wal.ReadUint64(body)
+		kind := protocol.ItemKind(body[0])
+		seq, rest, err := wal.ReadUint64(body[1:])
+		if err != nil {
+			return err
+		}
+		typ, rest, err := wal.ReadString(rest)
+		if err != nil {
+			return err
+		}
+		var it sealed
+		if kind == protocol.ItemBatch {
+			count, _, err := wal.ReadUvarint(rest)
+			if err != nil {
+				return err
+			}
+			tr := rs.typeState(typ)
+			if tr.pending == nil {
+				rs.noteSeq(seq) // an own seal of an empty buffer: nothing to freeze
+				return nil
+			}
+			it = batchItem(tr.freeze(count), seq)
+		} else {
+			if it, err = decodeItem(kind, seq, rest); err != nil {
+				return fmt.Errorf("fognode: journal seal: %w", err)
+			}
+			if kind == protocol.ItemSummary && it.origin == rs.self {
+				delete(rs.degraded, it.typ) // the seal emptied the buffer
+			}
+		}
+		return rs.add(it)
+	case recCommit:
+		typ, rest, err := wal.ReadString(body)
 		if err != nil {
 			return err
 		}
@@ -663,53 +603,26 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		typ, _, err := wal.ReadString(rest)
-		if err != nil {
-			return err
-		}
-		rs.noteSeq(seq)
 		tr := rs.typeState(typ)
-		if tr.pending == nil {
-			return nil // seal of an empty buffer: nothing to freeze
-		}
-		b := tr.pending
-		// The seal covers the whole pending buffer; the journaled
-		// count double-checks replay consistency and bounds the group
-		// defensively if the two ever disagree.
-		if n := int(count); n < len(b.Readings) {
-			head := &model.Batch{
-				NodeID: b.NodeID, TypeName: b.TypeName, Category: b.Category,
-				Collected: b.Collected, Readings: b.Readings[:n:n],
+		for i := uint64(0); i < count; i++ {
+			if len(rest) == 0 {
+				return fmt.Errorf("fognode: truncated journal commit")
 			}
-			tr.pending = &model.Batch{
-				NodeID: b.NodeID, TypeName: b.TypeName, Category: b.Category,
-				Collected: b.Collected, Readings: b.Readings[n:],
+			c := sealed{kind: protocol.ItemKind(rest[0])}
+			if c.seq, rest, err = wal.ReadUint64(rest[1:]); err != nil {
+				return err
 			}
-			b = head
-		} else {
-			tr.pending = nil
-		}
-		tr.groups = append(tr.groups, sealedBatch{b: b, seq: seq})
-	case recCommit:
-		seq, rest, err := wal.ReadUint64(body)
-		if err != nil {
-			return err
-		}
-		typ, _, err := wal.ReadString(rest)
-		if err != nil {
-			return err
-		}
-		// The committed sequence was used by this node even if its
-		// seal record was lost: keep the recovered counter past it so
-		// a fresh batch can never reuse a sequence the parent already
-		// marked (which would be silently deduped — loss, not re-delivery).
-		rs.noteSeq(seq)
-		tr := rs.typeState(typ)
-		for i, g := range tr.groups {
-			if g.seq == seq {
-				tr.groups = append(tr.groups[:i], tr.groups[i+1:]...)
-				break
+			if c.origin, rest, err = wal.ReadString(rest); err != nil {
+				return err
 			}
+			if c.origin == rs.self {
+				// The committed sequence was used even if its seal record
+				// was lost: keep the recovered counter past it so a fresh
+				// item can never reuse a sequence the parent already
+				// marked (silently deduped — loss, not re-delivery).
+				rs.noteSeq(c.seq)
+			}
+			tr.queue = slices.DeleteFunc(tr.queue, func(q sealed) bool { return sameItem(&q, &c) })
 		}
 	case recShed:
 		count, rest, err := wal.ReadUvarint(body)
@@ -720,15 +633,23 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.typeState(typ).shed(int(count))
+		tr := rs.typeState(typ)
+		tr.queue = trimOldest(tr.queue, tr.pending, int(min(count, 1<<31)), func(cat model.Category, readings []model.Reading, _ bool) {
+			if rs.degradeWindow > 0 {
+				buf := degradeBufFor(rs.degraded, typ, cat)
+				for _, r := range readings {
+					buf.fold(r, rs.degradeWindow, maxDegradedWindows)
+				}
+			}
+		})
 	case recMigrateStart:
-		// An uncommitted handoff keeps its batches in the seal groups
-		// the preceding records rebuilt, so the recovered source still
-		// owns them and drains upward — the shared parent dedupes if
-		// the target also absorbed a copy. The watermark advances the
-		// counter past the handoff's reserved transfer sequences: the
-		// target may hold replay marks for them, and minting one again
-		// would get a fresh forward silently deduped there.
+		// An uncommitted handoff keeps its items queued, so the
+		// recovered source still owns them and drains upward — the
+		// shared parent dedupes if the target also absorbed a copy. The
+		// watermark advances the counter past the handoff's reserved
+		// transfer sequences: the target may hold replay marks for them,
+		// and minting one again would get a fresh forward silently
+		// deduped there.
 		_, rest, err := wal.ReadString(body)
 		if err != nil {
 			return err
@@ -742,32 +663,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		rs.noteSeq(seqHigh)
-	case recMigrateCommit:
-		typ, rest, err := wal.ReadString(body)
-		if err != nil {
-			return err
-		}
-		count, rest, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return err
-		}
-		tr := rs.typeState(typ)
-		for i := uint64(0); i < count; i++ {
-			var seq uint64
-			seq, rest, err = wal.ReadUint64(rest)
-			if err != nil {
-				return err
-			}
-			// Same contract as recCommit: the sequence was used even if
-			// its seal record was lost, so keep the counter past it.
-			rs.noteSeq(seq)
-			for k, g := range tr.groups {
-				if g.seq == seq {
-					tr.groups = append(tr.groups[:k], tr.groups[k+1:]...)
-					break
-				}
-			}
-		}
 	case recMigrateIn:
 		payload, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -777,16 +672,17 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("fognode: journal migrate chunk: %w", err)
 		}
-		tr := rs.typeState(t.TypeName)
-		for i := range t.Entries {
-			b, _, seq, err := protocol.DecodeBatchPayloadSeq(t.Entries[i].Payload)
+		// Absorbed verbatim, foreign identities preserved; the moved
+		// sequences belong to the source's space, so they do not advance
+		// this node's counter.
+		for i, mi := range t.Items {
+			it, err := decodeItem(mi.Kind, mi.Seq, mi.Payload)
 			if err != nil {
-				return fmt.Errorf("fognode: journal migrate entry %d: %w", i, err)
+				return fmt.Errorf("fognode: journal migrate item %d: %w", i, err)
 			}
-			// Absorbed verbatim, foreign identity preserved; the moved
-			// sequences belong to the source's space, so they do not
-			// advance this node's counter.
-			tr.groups = append(tr.groups, sealedBatch{b: b, seq: seq})
+			if err := rs.add(it); err != nil {
+				return err
+			}
 		}
 		for origin, seqs := range t.Marks {
 			for _, seq := range seqs {
@@ -801,16 +697,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			}
 			rs.subEvents = append(rs.subEvents, subOp{snap: snap})
 		}
-		for i := range t.Alerts {
-			p, err := protocol.DecodeAlertPush(t.Alerts[i].Payload)
-			if err != nil {
-				return fmt.Errorf("fognode: journal migrate alert %d: %w", i, err)
-			}
-			rs.addAlertPush(p)
-		}
-		// Degrade summaries are in-memory-only (the degrade tier's
-		// crash contract): a crash between absorb and push loses the
-		// degraded resolution, never journaled raw data.
 	case recSubscribe:
 		doc, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -827,66 +713,24 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		rs.subEvents = append(rs.subEvents, subOp{remove: true, id: id})
-	case recAlertSeal:
-		payload, _, err := wal.ReadBytes(body)
-		if err != nil {
-			return err
-		}
-		p, err := protocol.DecodeAlertPush(payload)
-		if err != nil {
-			return fmt.Errorf("fognode: journal alert seal: %w", err)
-		}
-		rs.addAlertPush(p)
-	case recAlertCommit:
-		seq, rest, err := wal.ReadUint64(body)
-		if err != nil {
-			return err
-		}
-		origin, _, err := wal.ReadString(rest)
-		if err != nil {
-			return err
-		}
-		if origin == rs.self {
-			// Same contract as recCommit: the sequence was used even if
-			// its seal record was lost, so keep the counter past it.
-			rs.noteSeq(seq)
-		}
-		delete(rs.alertByKey, alertKey{origin: origin, seq: seq})
 	default:
 		return fmt.Errorf("fognode: unknown journal record type %d", rec[0])
 	}
 	return nil
 }
 
-// shed mirrors boundTypeLocked: drop oldest first — retry-queue heads,
-// then the pending buffer's head.
-func (tr *typeRecovery) shed(drop int) {
-	for drop > 0 && len(tr.groups) > 0 {
-		head := tr.groups[0].b
-		k := min(len(head.Readings), drop)
-		head.Readings = head.Readings[k:]
-		drop -= k
-		if len(head.Readings) == 0 {
-			tr.groups = tr.groups[1:]
-		}
-	}
-	if drop > 0 && tr.pending != nil {
-		k := min(len(tr.pending.Readings), drop)
-		tr.pending.Readings = tr.pending.Readings[k:]
-		if len(tr.pending.Readings) == 0 {
-			tr.pending = nil
-		}
-	}
-}
-
 // recover rebuilds the node's delivery state from the journal opened
 // at construction: snapshot, then the log tail, then installation into
-// the pending shards, retry queues, sequence counter, replay filter
-// and the local time-series store. Metrics are not re-counted —
-// recovered state was already accounted by its first life.
+// the pending and degrade buffers, outbox queues, sequence counter,
+// replay filter and the local time-series store. Metrics are not
+// re-counted — recovered state was already accounted by its first
+// life.
 func (n *Node) recover(j *journal) error {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
+	if n.cfg.DegradeToSummary {
+		rs.degradeWindow = n.cfg.DegradeWindow
+	}
 	if err := decodeNodeSnapshot(j.store.Snapshot(), rs); err != nil {
 		return err
 	}
@@ -930,24 +774,18 @@ func (n *Node) recover(j *journal) error {
 		}
 		n.recoveredAlerts = append(n.recoveredAlerts, n.cqe.Observe(b)...)
 	}
-	for _, k := range rs.alertOrder {
-		p, ok := rs.alertByKey[k]
-		if !ok {
-			continue // committed
-		}
-		sh := n.shardFor(p.TypeName)
-		sh.alerts[p.TypeName] = append(sh.alerts[p.TypeName], sealedAlert{push: *p, seq: p.Seq})
-	}
 	for typ, tr := range rs.types {
-		if len(tr.groups) == 0 && tr.pending == nil {
-			continue
-		}
 		sh := n.shardFor(typ)
-		if len(tr.groups) > 0 {
-			sh.retry[typ] = tr.groups
+		if len(tr.queue) > 0 {
+			sh.queue[typ] = tr.queue
 		}
-		if tr.pending != nil {
+		if tr.pending != nil && len(tr.pending.Readings) > 0 {
 			sh.pending[typ] = tr.pending
+		}
+	}
+	for typ, d := range rs.degraded {
+		if len(d.windows) > 0 {
+			n.shardFor(typ).degraded[typ] = d
 		}
 	}
 	if rs.sawSeq {

@@ -5,25 +5,26 @@ package fognode
 //
 // When the elastic topology reassigns a sensor type from this node to
 // a sibling (a node joined or is leaving the district), the old owner
-// hands the type's buffered delivery state — pending buffer, frozen-
-// sequence retry queue, degrade-summary buffers, queued alert pushes,
-// standing continuous-query subscriptions with their live window
-// state, replay-filter marks — to the new owner over
-// transport.KindMigrate, then forwards any
-// still-arriving edge ingest of the type until the routing tier
-// catches up. The handoff is exactly-once without a two-phase commit
-// because everything moves as SEALED state verbatim:
+// hands the type's buffered delivery state — its outbox queue, with
+// the pending and degrade buffers sealed onto it, the standing
+// continuous-query subscriptions with their live window state, and
+// the replay-filter marks — to the new owner over
+// transport.KindMigrate, then forwards any still-arriving edge ingest
+// of the type until the routing tier catches up. The handoff is
+// exactly-once without a two-phase commit because everything moves as
+// SEALED state verbatim:
 //
-//   - the moved batches keep their origin identity and delivery
-//     sequences (the same SealSeq envelopes the upward path sends), so
-//     the shared parent's per-origin replay filter keeps deduping them
-//     no matter which sibling finally delivers;
+//   - the moved items keep their origin identity and delivery
+//     sequences (the same wire payloads the upward path sends), so the
+//     shared parent's per-origin replay filter keeps deduping them no
+//     matter which sibling finally delivers;
 //   - the target marks each chunk's (From, TransferSeq) in its replay
 //     filter and journals the raw chunk before acknowledging, so a
 //     retried chunk is acknowledged without re-absorbing and a target
 //     crash recovers the absorbed state;
 //   - the source journals the handoff (recMigrateStart before the
-//     sends, recMigrateCommit after the last acknowledgement), so a
+//     sends, a recCommit of the moved items after the last
+//     acknowledgement), so a
 //     source crash at any boundary recovers to a state where at worst
 //     BOTH siblings hold a copy — and both drain to the same deduping
 //     parent, which keeps delivery exactly-once.
@@ -32,15 +33,15 @@ package fognode
 //
 //	OWNED ──MigrateOut──▶ FROZEN   pending sealed, state out of maps,
 //	                               recMigrateStart journaled
-//	FROZEN ──chunks acked──▶ MOVED recMigrateCommit journaled; the
-//	                               caller flips routing to the target
-//	FROZEN ──send fails──▶ OWNED   unsent tail reinstalled on the
-//	                               retry queues, sequences kept
+//	FROZEN ──chunks acked──▶ MOVED recCommit journaled; the caller
+//	                               flips routing to the target
+//	FROZEN ──send fails──▶ OWNED   unsent tail requeued, sequences
+//	                               kept
 //
 // and target side:
 //
 //	chunk ──dedup (From,TransferSeq)──▶ ack (already absorbed)
-//	chunk ──recMigrateIn──▶ retry queue (entries verbatim) ──▶ next
+//	chunk ──recMigrateIn──▶ outbox queue (items verbatim) ──▶ next
 //	        flush delivers under the ORIGINAL origins and sequences
 
 import (
@@ -68,11 +69,7 @@ func (n *Node) SetRoute(typ, target string) {
 }
 
 // ClearRoute restores local ownership of a sensor type's ingest.
-func (n *Node) ClearRoute(typ string) {
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	delete(n.routes, typ)
-}
+func (n *Node) ClearRoute(typ string) { n.SetRoute(typ, "") }
 
 // Route returns the node a type's edge ingest is being forwarded to,
 // or "" when this node owns the type locally.
@@ -111,21 +108,20 @@ func sortBatchReadings(b *model.Batch) {
 }
 
 // MigrateOut moves one sensor type's buffered delivery state to a new
-// owner. The pending buffer is frozen under a fresh delivery sequence
-// (journaled like any seal), then everything the type has queued —
-// retry batches, summary pushes, the degrade buffer — leaves the
-// shard maps and travels to the target in bounded KindMigrate chunks,
-// along with a snapshot of this node's replay-filter marks so the
-// target inherits the dedup horizon. On a send failure the unsent
-// tail is reinstalled with its sequences intact and the error is
-// returned; the caller may retry — a chunk the target already
-// absorbed is deduped there, and even a chunk absorbed under a lost
-// acknowledgement only yields a second copy that the shared parent
-// dedupes by its frozen (origin, seq).
+// owner. The pending and degrade buffers are sealed onto the type's
+// outbox queue under fresh delivery sequences (journaled like any
+// seal), then the whole queue leaves the shard and travels to the
+// target in bounded KindMigrate chunks, along with a snapshot of this
+// node's replay-filter marks so the target inherits the dedup horizon.
+// On a send failure the unsent tail is requeued with its sequences
+// intact and the error is returned; the caller may retry — a chunk the
+// target already absorbed is deduped there, and even a chunk absorbed
+// under a lost acknowledgement only yields a second copy that the
+// shared parent dedupes by its frozen (origin, seq).
 //
 // MigrateOut does not flip routing: the caller (the elastic topology
 // layer) sets the route on this node and its ring before or after the
-// handoff. In-flight flushes of the type may hold batches outside the
+// handoff. In-flight flushes of the type may hold items outside the
 // shard maps; on failure those requeue here and drain upward under
 // this node's identity, which the parent-side dedup absorbs.
 func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
@@ -141,159 +137,96 @@ func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
 
 	sh := n.shardFor(typ)
 	sh.mu.Lock()
+	items := sh.queue[typ]
+	delete(sh.queue, typ)
 	if p, ok := sh.pending[typ]; ok {
 		if len(p.Readings) > 0 {
-			sb := sealedBatch{b: p, seq: n.seq.Add(1)}
-			if n.journal != nil {
-				// Best-effort, like any seal: a lost record degrades
-				// toward re-delivery under a fresh sequence.
-				_ = n.journal.appendSeal(typ, sb.seq, len(p.Readings))
-			}
-			sh.retry[typ] = append(sh.retry[typ], sb)
+			items = append(items, n.sealBatchLocked(p, 0)...)
 		}
 		delete(sh.pending, typ)
 	}
-	entries := sh.retry[typ]
-	delete(sh.retry, typ)
-	sums := sh.sumRetry[typ]
-	delete(sh.sumRetry, typ)
 	if buf, ok := sh.degraded[typ]; ok {
-		if len(buf.windows) > 0 {
-			sums = append(sums, n.sealSummaryLocked(typ, buf))
+		if it, ok := n.sealSummaryLocked(typ, buf); ok {
+			items = append(items, it)
 		}
 		delete(sh.degraded, typ)
 	}
-	alerts := sh.alerts[typ]
-	delete(sh.alerts, typ)
 	sh.mu.Unlock()
 	// Standing subscriptions leave with the type, live window state
 	// included, so a half-built window keeps accumulating on the new
 	// owner instead of silently losing its partial aggregate.
 	subs := n.cqe.Extract(typ)
 
-	if err := n.sendTransfers(ctx, typ, target, entries, sums, alerts, subs); err != nil {
+	if err := n.sendTransfers(ctx, typ, target, byKind(items), subs); err != nil {
 		return fmt.Errorf("fognode %s: migrate %s to %s: %w", me, typ, target, err)
 	}
 	return nil
 }
 
-// sendTransfers seals and ships one type's extracted state in chunks
-// bounded by protocol.MaxMigrateWireSize. At least one chunk is always
-// sent — an empty handoff still carries the replay-mark snapshot and
-// acts as the ownership handshake that clears the target's stale
-// route. On failure the unsent tail (the failed chunk included) is
-// reinstalled on the retry queues; the continuous-query state (queued
-// alert pushes and subscription snapshots, which ride only the first
-// chunk) is reinstalled unless that chunk was already acknowledged.
-func (n *Node) sendTransfers(ctx context.Context, typ, target string, entries []sealedBatch, sums []sealedSummary, alerts []sealedAlert, subs []cq.SubSnapshot) error {
+// sendTransfers ships one type's extracted items in chunks bounded by
+// protocol.MaxMigrateWireSize. At least one chunk is always sent — an
+// empty handoff still carries the replay-mark snapshot and acts as the
+// ownership handshake that clears the target's stale route. On failure
+// the unsent tail (the failed chunk included) is requeued; the
+// subscription snapshots, which ride only the first chunk, are
+// reinstalled unless that chunk was already acknowledged.
+func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []sealed, subs []cq.SubSnapshot) error {
 	me := n.cfg.Spec.ID
+	fail := func(from int, subsMoved bool, err error) error {
+		n.requeue(typ, items[from:])
+		if !subsMoved {
+			for i := range subs {
+				_ = n.cqe.Install(subs[i])
+			}
+		}
+		return err
+	}
+
+	// Seal every batch up front; the encoded sizes drive the chunking.
 	now := n.cfg.Clock.Now()
-
-	reinstallCQ := func() {
-		for i := range subs {
-			_ = n.cqe.Install(subs[i])
-		}
-		n.requeueAlerts(typ, alerts)
-	}
-
-	// Seal every entry up front; the encoded sizes drive the chunking.
-	sc := n.getScratch()
-	payloads := make([][]byte, len(entries))
-	for i := range entries {
-		b := entries[i].b
-		sortBatchReadings(b)
-		b.Collected = now
-		payload, err := sc.sealer.SealSeq(nil, b, n.cfg.Codec, entries[i].seq)
+	var sealer protocol.Sealer
+	wires := make([]protocol.MigrateItem, len(items))
+	for i := range items {
+		payload, err := n.wire(&items[i], now, &sealer, nil)
 		if err != nil {
-			n.putScratch(sc)
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("seal entry: %w", err)
+			return fail(0, false, fmt.Errorf("seal entry: %w", err))
 		}
-		payloads[i] = payload
+		wires[i] = protocol.MigrateItem{Kind: items[i].kind, Seq: items[i].seq, Payload: payload}
 	}
-	n.putScratch(sc)
-
-	docs := make([][]byte, len(sums))
-	for i := range sums {
-		doc, err := protocol.EncodeJSON(sums[i].push)
-		if err != nil {
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("encode summary: %w", err)
-		}
-		docs[i] = doc
-	}
-
 	subDocs := make([][]byte, len(subs))
-	alertWires := make([]protocol.MigrateAlert, len(alerts))
-	cqCost := 0
-	{
-		var err error
-		for i := range subs {
-			if subDocs[i], err = cq.EncodeSubSnapshot(&subs[i]); err != nil {
-				break
-			}
-			cqCost += len(subDocs[i]) + 10
-		}
-		for i := range alerts {
-			if err != nil {
-				break
-			}
-			var wire []byte
-			if wire, err = protocol.EncodeAlertPush(&alerts[i].push); err != nil {
-				break
-			}
-			alertWires[i] = protocol.MigrateAlert{Seq: alerts[i].seq, Payload: wire}
-			cqCost += len(wire) + 19
-		}
+	for i := range subs {
+		doc, err := cq.EncodeSubSnapshot(&subs[i])
 		if err != nil {
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("encode cq state: %w", err)
+			return fail(0, false, fmt.Errorf("encode cq state: %w", err))
 		}
+		subDocs[i] = doc
 	}
 
-	// Greedy chunk assignment by encoded size. Chunk boundaries are
-	// (entryEnd, sumEnd) watermarks: a chunk covers entries[prevE:e]
-	// and sums[prevS:s], entries first. The first chunk additionally
-	// carries the replay-mark snapshot and the continuous-query state.
+	// Greedy chunk assignment by encoded size: chunk c covers
+	// items[ends[c-1]:ends[c]]. The first chunk additionally carries
+	// the replay-mark snapshot and the subscriptions.
 	marks := n.replay.Dump()
-	marksCost := 16 + cqCost
+	size := 16
 	for origin, seqs := range marks {
-		marksCost += len(origin) + 10 + 9*len(seqs)
+		size += len(origin) + 10 + 9*len(seqs)
+	}
+	for _, doc := range subDocs {
+		size += len(doc) + 10
 	}
 	budget := protocol.MaxMigrateWireSize() - 512
-	type watermark struct{ e, s int }
-	var chunks []watermark
-	size := marksCost // first chunk starts with the marks
-	e, s := 0, 0
-	for e < len(entries) || s < len(sums) {
-		var cost int
-		if e < len(entries) {
-			cost = len(payloads[e]) + 16
-		} else {
-			cost = len(docs[s]) + 16
-		}
-		// Rotate a non-empty chunk when the next item would overflow
-		// it; an item that overflows an empty chunk is taken anyway
+	var ends []int
+	for i := range wires {
+		// Rotate a non-empty chunk when the next item would overflow it;
+		// an item that overflows an empty chunk is taken anyway
 		// (progress) and left for the encoder's size check to reject.
+		cost := len(wires[i].Payload) + 17
 		if size+cost > budget && size > 0 {
-			chunks = append(chunks, watermark{e, s})
+			ends = append(ends, i)
 			size = 0
-			continue
 		}
 		size += cost
-		if e < len(entries) {
-			e++
-		} else {
-			s++
-		}
 	}
-	chunks = append(chunks, watermark{len(entries), len(sums)})
+	ends = append(ends, len(items))
 
 	// Reserve every chunk's transfer sequence up front and journal the
 	// advanced counter (recMigrateStart) before the first send. The
@@ -301,173 +234,118 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, entries []
 	// filter, so a source crash must never recover to a counter that
 	// mints those sequences again: a reused sequence would be silently
 	// deduped at the target and its readings lost.
-	seqHigh := n.seq.Add(uint64(len(chunks)))
-	seqLow := seqHigh - uint64(len(chunks)) + 1
+	seqHigh := n.seq.Add(uint64(len(ends)))
+	seqLow := seqHigh - uint64(len(ends)) + 1
 	if n.journal != nil {
 		_ = n.journal.appendMigrateStart(typ, target, seqHigh)
 	}
 
-	var movedSeqs []uint64
-	movedCQ := false
-	prev := watermark{0, 0}
-	for ci, wm := range chunks {
-		t := &protocol.MigrateTransfer{
-			TypeName:    typ,
-			From:        me,
-			To:          target,
-			TransferSeq: seqLow + uint64(ci),
-		}
+	prev := 0
+	for ci, end := range ends {
+		t := &protocol.MigrateTransfer{TypeName: typ, From: me, To: target, TransferSeq: seqLow + uint64(ci), Items: wires[prev:end]}
 		if ci == 0 {
 			t.Marks = marks
 			t.Subs = subDocs
-			t.Alerts = alertWires
 		}
-		readings := int64(0)
-		for i := prev.e; i < wm.e; i++ {
-			t.Entries = append(t.Entries, protocol.MigrateEntry{Seq: entries[i].seq, Payload: payloads[i]})
-			readings += int64(len(entries[i].b.Readings))
-		}
-		for i := prev.s; i < wm.s; i++ {
-			t.Summaries = append(t.Summaries, protocol.MigrateSummary{Seq: sums[i].seq, Push: sums[i].push})
-		}
-		payload, err := protocol.EncodeMigrateTransfer(t)
-		if err == nil {
-			msg := transport.Message{
-				From:    me,
-				To:      target,
-				Kind:    transport.KindMigrate,
-				Class:   transport.ClassMigrate,
-				Payload: payload,
-			}
-			_, err = n.cfg.Transport.Send(ctx, msg)
-			if err == nil {
-				n.migOutTransfers.Inc()
-				n.migOutReads.Add(readings)
-				n.migOutBytes.Add(msg.WireSize())
-				for i := prev.e; i < wm.e; i++ {
-					movedSeqs = append(movedSeqs, entries[i].seq)
-				}
-				if ci == 0 {
-					// The continuous-query state rode this chunk and now
-					// belongs to the target: journal the handoff so a
-					// recovered source neither re-evaluates the moved
-					// subscriptions nor resurrects the moved pushes.
-					movedCQ = true
-					if n.journal != nil {
-						for i := range subs {
-							_ = n.journal.appendUnsubscribe(subs[i].Sub.ID)
-						}
-						for i := range alerts {
-							_ = n.journal.appendAlertCommit(typ, alerts[i].push.Origin, alerts[i].seq)
-						}
-					}
-				}
-				prev = wm
-				continue
+		readings := 0
+		for _, it := range items[prev:end] {
+			if it.b != nil {
+				readings += len(it.b.Readings)
 			}
 		}
-		// Reinstall everything from the failed chunk on, sequences
-		// frozen; a retried MigrateOut re-chunks under fresh transfer
-		// sequences, and any chunk the target absorbed under a lost
-		// acknowledgement is deduped downstream by its frozen origins.
-		n.requeue(entries[prev.e:])
-		n.requeueSummaries(typ, sums[prev.s:])
-		if !movedCQ {
-			reinstallCQ()
+		if err := n.sendMigrate(ctx, t, readings); err != nil {
+			// Requeue everything from the failed chunk on, sequences
+			// frozen; a retried MigrateOut re-chunks under fresh transfer
+			// sequences, and any chunk the target absorbed under a lost
+			// acknowledgement is deduped downstream by its frozen origins.
+			n.journalCommit(typ, items[:prev])
+			return fail(prev, ci > 0, err)
 		}
-		if n.journal != nil && len(movedSeqs) > 0 {
-			_ = n.journal.appendMigrateCommit(typ, movedSeqs)
+		if ci == 0 && n.journal != nil {
+			// The subscriptions rode this chunk and now belong to the
+			// target: a recovered source must not re-evaluate them.
+			for i := range subs {
+				_ = n.journal.appendUnsubscribe(subs[i].Sub.ID)
+			}
 		}
-		return err
+		prev = end
 	}
-	if n.journal != nil && len(movedSeqs) > 0 {
-		// Acknowledged by the new owner: the moved batches are no
-		// longer this node's responsibility and recovery must not
-		// resurrect them here.
-		_ = n.journal.appendMigrateCommit(typ, movedSeqs)
-	}
+	// Acknowledged by the new owner: the moved items are no longer this
+	// node's responsibility and recovery must not resurrect them here.
+	n.journalCommit(typ, items)
 	return nil
 }
 
-// handleMigrate absorbs one handoff chunk: the entries enter the
-// retry queue VERBATIM — origin identities and frozen sequences
-// preserved, no re-ingest — so this node's next flush delivers them
-// exactly as the old owner would have, and every replay filter
-// downstream keeps working. The raw chunk is journaled (recMigrateIn)
-// before any state change, the chunk's own (From, TransferSeq) mark
-// makes retries idempotent, and the moved replay marks merge into
-// this node's filter so it inherits the source's dedup horizon.
-func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
-	me := n.cfg.Spec.ID
-	t, err := protocol.DecodeMigrateTransfer(msg.Payload)
+// sendMigrate encodes and ships one transfer chunk to its target.
+func (n *Node) sendMigrate(ctx context.Context, t *protocol.MigrateTransfer, readings int) error {
+	payload, err := protocol.EncodeMigrateTransfer(t)
 	if err != nil {
-		return nil, fmt.Errorf("fognode %s: migrate: %w", me, err)
+		return err
 	}
-	if t.To != me {
-		return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", me, t.To)
+	msg := transport.Message{
+		From:    t.From,
+		To:      t.To,
+		Kind:    transport.KindMigrate,
+		Class:   transport.ClassMigrate,
+		Payload: payload,
 	}
-	if n.replay.Seen(t.From, t.TransferSeq) {
-		n.dupBatches.Inc()
-		return []byte("ok"), nil
+	if _, err := n.cfg.Transport.Send(ctx, msg); err != nil {
+		return err
 	}
-	ents := make([]sealedBatch, 0, len(t.Entries))
-	readings := int64(0)
-	for i, e := range t.Entries {
-		b, _, seq, err := protocol.DecodeBatchPayloadSeq(e.Payload)
+	n.migOutTransfers.Inc()
+	n.migOutReads.Add(int64(readings))
+	n.migOutBytes.Add(msg.WireSize())
+	return nil
+}
+
+// absorbMigrate absorbs one handoff chunk behind the receive gate: the
+// items enter the outbox queue VERBATIM — origin identities and frozen
+// sequences preserved, no re-ingest — so this node's next flush
+// delivers them exactly as the old owner would have, and every replay
+// filter downstream keeps working. The raw chunk is journaled
+// (recMigrateIn) before any state change, and the moved replay marks
+// merge into this node's filter so it inherits the source's dedup
+// horizon. A malformed chunk is rejected whole.
+func (n *Node) absorbMigrate(t *protocol.MigrateTransfer, payload []byte) error {
+	me := n.cfg.Spec.ID
+	items := make([]sealed, 0, len(t.Items))
+	readings := 0
+	for i, mi := range t.Items {
+		it, err := decodeItem(mi.Kind, mi.Seq, mi.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: %w", me, i, err)
+			return fmt.Errorf("fognode %s: migrate item %d: %w", me, i, err)
 		}
-		if seq != e.Seq {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: envelope seq %d != entry seq %d", me, i, seq, e.Seq)
+		if it.typ != t.TypeName {
+			return fmt.Errorf("fognode %s: migrate item %d: type %q in a %q transfer", me, i, it.typ, t.TypeName)
 		}
-		if b.TypeName != t.TypeName {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: type %q in a %q transfer", me, i, b.TypeName, t.TypeName)
+		if it.b != nil {
+			readings += len(it.b.Readings)
 		}
-		ents = append(ents, sealedBatch{b: b, seq: seq})
-		readings += int64(len(b.Readings))
+		items = append(items, it)
 	}
-	// Decode the continuous-query sections up front too: a malformed
-	// chunk is rejected whole, before any state or journal change.
 	subs := make([]*cq.SubSnapshot, 0, len(t.Subs))
 	for i := range t.Subs {
 		snap, err := cq.DecodeSubSnapshot(t.Subs[i])
 		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate subscription %d: %w", me, i, err)
+			return fmt.Errorf("fognode %s: migrate subscription %d: %w", me, i, err)
 		}
 		subs = append(subs, snap)
 	}
-	pushes := make([]sealedAlert, 0, len(t.Alerts))
-	for i := range t.Alerts {
-		p, err := protocol.DecodeAlertPush(t.Alerts[i].Payload)
-		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate alert %d: %w", me, i, err)
-		}
-		pushes = append(pushes, sealedAlert{push: *p, seq: t.Alerts[i].Seq})
-	}
 
-	sh := n.shardFor(t.TypeName)
-	sh.mu.Lock()
+	sh, err := n.acceptLocked(t.TypeName)
+	if err != nil {
+		return err
+	}
 	if n.journal != nil {
 		// The journal append is the acceptance gate, exactly like a
 		// batch ingest: if the chunk cannot be made durable it is
 		// rejected and the source keeps (or reinstalls) the state.
-		if err := n.journal.appendMigrateIn(msg.Payload); err != nil {
+		if err := n.journal.appendMigrateIn(payload); err != nil {
 			sh.mu.Unlock()
-			return nil, fmt.Errorf("fognode %s: migrate: %w", me, err)
+			return fmt.Errorf("fognode %s: migrate: %w", me, err)
 		}
 	}
-	sh.retry[t.TypeName] = append(sh.retry[t.TypeName], ents...)
-	for _, s := range t.Summaries {
-		sh.sumRetry[t.TypeName] = append(sh.sumRetry[t.TypeName], sealedSummary{push: s.Push, seq: s.Seq})
-	}
-	// Absorbed alert pushes queue VERBATIM, original identities
-	// preserved, exactly like the batches above; recMigrateIn's raw
-	// payload covers them on replay.
-	if len(pushes) > 0 {
-		sh.alerts[t.TypeName] = append(sh.alerts[t.TypeName], pushes...)
-		n.boundAlertsLocked(sh, t.TypeName)
-	}
-	n.boundTypeLocked(sh, t.TypeName)
+	n.queueLocked(sh, t.TypeName, items...)
 	sh.mu.Unlock()
 
 	// Moved subscriptions install with their live window state; Install
@@ -476,37 +354,35 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	for _, snap := range subs {
 		_ = n.cqe.Install(*snap)
 	}
-
 	for origin, seqs := range t.Marks {
 		for _, seq := range seqs {
 			n.replay.Mark(origin, seq)
 		}
 	}
-	// Mark the chunk itself only after the state landed: marking
-	// earlier would blackhole the source's retry of a failed absorb.
-	n.replay.Mark(t.From, t.TransferSeq)
 	// Receiving a chunk is the ownership handshake: this node owns the
 	// type now, so a stale forwarding route must not bounce it back.
 	n.ClearRoute(t.TypeName)
 	n.migInTransfers.Inc()
-	n.migInReads.Add(readings)
-	return []byte("ok"), nil
+	n.migInReads.Add(int64(readings))
+	return nil
 }
 
 // ingestRouted handles an edge ingest of a type whose ownership
 // migrated away: the batch is journaled and merged into the pending
 // buffer like any acceptance, immediately frozen under a fresh
 // sequence (the same transitions recovery replays), and forwarded to
-// the new owner as a single-entry transfer whose TransferSeq is the
+// the new owner as a single-item transfer whose TransferSeq is the
 // batch's own sequence. If the forward fails the sealed batch parks
-// on the local retry queue under that same frozen sequence — whether
-// it later drains upward from here, is re-forwarded by a MigrateOut,
-// or was absorbed by the target under a lost acknowledgement, the
-// shared parent sees one (origin, seq) and keeps it exactly once.
+// on the local queue under that same frozen sequence — whether it
+// later drains upward from here, is re-forwarded by a MigrateOut, or
+// was absorbed by the target under a lost acknowledgement, the shared
+// parent sees one (origin, seq) and keeps it exactly once.
 func (n *Node) ingestRouted(b *model.Batch, target string) error {
 	me := n.cfg.Spec.ID
-	sh := n.shardFor(b.TypeName)
-	sh.mu.Lock()
+	sh, err := n.acceptLocked(b.TypeName)
+	if err != nil {
+		return err
+	}
 	if n.journal != nil {
 		if err := n.journal.appendBatch(me, b, "", 0); err != nil {
 			sh.mu.Unlock()
@@ -521,67 +397,38 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 		cur.Readings = append(cur.Readings, b.Readings...)
 		delete(sh.pending, b.TypeName)
 	}
-	sb := sealedBatch{b: cur, seq: n.seq.Add(1)}
-	if n.journal != nil {
-		// The seal covers the whole (merged) buffer, so replay's
-		// freeze matches this transition exactly.
-		_ = n.journal.appendSeal(b.TypeName, sb.seq, len(cur.Readings))
-	}
+	// The seal covers the whole (merged) buffer, so replay's freeze
+	// matches this transition exactly.
+	sb := n.sealBatchLocked(cur, 0)
 	sh.mu.Unlock()
 
-	if n.cfg.Transport != nil {
-		if err := n.forwardSealed(sb, target); err == nil {
-			if n.journal != nil {
-				_ = n.journal.appendCommit(b.TypeName, sb.seq)
-			}
-			return nil
-		}
+	if n.cfg.Transport != nil && n.forwardSealed(&sb[0], target) == nil {
+		n.journalCommit(b.TypeName, sb)
+		return nil
 	}
 	// Forward failed: keep the frozen batch; it drains upward from
 	// here or moves with the next MigrateOut.
-	n.requeue([]sealedBatch{sb})
+	n.requeue(b.TypeName, sb)
 	return nil
 }
 
 // forwardSealed ships one sealed batch to a type's new owner as a
-// single-entry migration transfer.
-func (n *Node) forwardSealed(sb sealedBatch, target string) error {
-	me := n.cfg.Spec.ID
+// single-item migration transfer.
+func (n *Node) forwardSealed(it *sealed, target string) error {
 	sc := n.getScratch()
-	payload, err := sc.sealer.SealSeq(sc.payload[:0], sb.b, n.cfg.Codec, sb.seq)
+	defer n.putScratch(sc)
+	payload, err := n.wire(it, n.cfg.Clock.Now(), &sc.sealer, sc.payload[:0])
 	if err != nil {
-		n.putScratch(sc)
 		return err
 	}
 	sc.payload = payload
-	t := &protocol.MigrateTransfer{
-		TypeName:    sb.b.TypeName,
-		From:        me,
+	return n.sendMigrate(context.Background(), &protocol.MigrateTransfer{
+		TypeName:    it.typ,
+		From:        n.cfg.Spec.ID,
 		To:          target,
-		TransferSeq: sb.seq,
-		Entries:     []protocol.MigrateEntry{{Seq: sb.seq, Payload: payload}},
-	}
-	wire, err := protocol.EncodeMigrateTransfer(t)
-	if err != nil {
-		n.putScratch(sc)
-		return err
-	}
-	msg := transport.Message{
-		From:    me,
-		To:      target,
-		Kind:    transport.KindMigrate,
-		Class:   transport.ClassMigrate,
-		Payload: wire,
-	}
-	_, err = n.cfg.Transport.Send(context.Background(), msg)
-	n.putScratch(sc)
-	if err != nil {
-		return err
-	}
-	n.migOutTransfers.Inc()
-	n.migOutReads.Add(int64(len(sb.b.Readings)))
-	n.migOutBytes.Add(msg.WireSize())
-	return nil
+		TransferSeq: it.seq,
+		Items:       []protocol.MigrateItem{{Kind: protocol.ItemBatch, Seq: it.seq, Payload: payload}},
+	}, len(it.b.Readings))
 }
 
 // MigratedOutTransfers reports how many handoff chunks this node

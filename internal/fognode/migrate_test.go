@@ -396,7 +396,7 @@ func TestMigrateRejectsBadChunks(t *testing.T) {
 		}
 		tr := &protocol.MigrateTransfer{
 			TypeName: "traffic", From: "fog1/d01-s01", To: dst.ID(), TransferSeq: 9,
-			Entries: []protocol.MigrateEntry{{Seq: 5, Payload: payload}},
+			Items: []protocol.MigrateItem{{Kind: protocol.ItemBatch, Seq: 5, Payload: payload}},
 		}
 		mutate(tr)
 		wire, err := protocol.EncodeMigrateTransfer(tr)
@@ -410,7 +410,7 @@ func TestMigrateRejectsBadChunks(t *testing.T) {
 		!strings.Contains(err.Error(), "addressed to") {
 		t.Errorf("misaddressed chunk: err = %v", err)
 	}
-	if err := send(mk(func(tr *protocol.MigrateTransfer) { tr.Entries[0].Seq = 6 })); err == nil ||
+	if err := send(mk(func(tr *protocol.MigrateTransfer) { tr.Items[0].Seq = 6 })); err == nil ||
 		!strings.Contains(err.Error(), "envelope seq") {
 		t.Errorf("seq-mismatched chunk: err = %v", err)
 	}
@@ -552,22 +552,26 @@ func migrationRecoveryProperty(t *testing.T, seed int64) {
 // TestMigrateJournalReplay exercises the three migration record arms
 // of the journal replay directly.
 func TestMigrateJournalReplay(t *testing.T) {
-	// recMigrateCommit removes exactly the moved sequences and keeps
-	// the counter past them.
+	// A migration's commit removes exactly the moved sequences and
+	// keeps the counter past them.
 	rs := newRecoveryState()
 	for _, seq := range []uint64{100, 101, 102} {
-		rs.typeState("traffic").groups = append(rs.typeState("traffic").groups,
-			sealedBatch{b: typedBatch("traffic", t0, float64(seq)), seq: seq})
+		it := batchItem(typedBatch("traffic", t0, float64(seq)), seq)
+		rs.self = it.origin
+		rs.typeState("traffic").queue = append(rs.typeState("traffic").queue, it)
 	}
-	rec := []byte{recMigrateCommit}
+	rec := []byte{recCommit}
 	rec = wal.AppendString(rec, "traffic")
 	rec = wal.AppendUvarint(rec, 2)
-	rec = wal.AppendUint64(rec, 100)
-	rec = wal.AppendUint64(rec, 102)
+	for _, seq := range []uint64{100, 102} {
+		rec = append(rec, byte(protocol.ItemBatch))
+		rec = wal.AppendUint64(rec, seq)
+		rec = wal.AppendString(rec, rs.self)
+	}
 	if err := rs.applyRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.types["traffic"].groups; len(got) != 1 || got[0].seq != 101 {
+	if got := rs.types["traffic"].queue; len(got) != 1 || got[0].seq != 101 {
 		t.Fatalf("after migrate commit, groups = %+v, want only seq 101", got)
 	}
 	if !rs.sawSeq || rs.seqCounter < 102 {
@@ -583,7 +587,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs.applyRecord(start); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.types["traffic"].groups) != 1 {
+	if len(rs.types["traffic"].queue) != 1 {
 		t.Fatal("migrate start changed the recovered groups")
 	}
 	if rs.seqCounter != 150 {
@@ -599,8 +603,8 @@ func TestMigrateJournalReplay(t *testing.T) {
 	}
 	tr := &protocol.MigrateTransfer{
 		TypeName: "traffic", From: "fog1/d01-s01", To: "fog1/d01-s02", TransferSeq: 77,
-		Entries: []protocol.MigrateEntry{{Seq: 55, Payload: payload}},
-		Marks:   map[string][]uint64{"edge/e1": {9}},
+		Items: []protocol.MigrateItem{{Kind: protocol.ItemBatch, Seq: 55, Payload: payload}},
+		Marks: map[string][]uint64{"edge/e1": {9}},
 	}
 	wire, err := protocol.EncodeMigrateTransfer(tr)
 	if err != nil {
@@ -612,7 +616,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs2.applyRecord(in); err != nil {
 		t.Fatal(err)
 	}
-	groups := rs2.types["traffic"].groups
+	groups := rs2.types["traffic"].queue
 	if len(groups) != 1 || groups[0].seq != 55 || groups[0].b.NodeID != "fog1/d01-s01" {
 		t.Fatalf("replayed absorb groups = %+v, want one foreign batch at seq 55", groups)
 	}

@@ -100,24 +100,13 @@ type Config struct {
 	// at the next flush (transport.KindSummaryPush) — the node loses
 	// resolution, not information. Counted in flush.degraded_readings
 	// and flush.summaries_emitted; raw shed remains the last resort
-	// once the summary retry tier overflows.
+	// once a type queues more than 64 unsent summary pushes. A
+	// degrading durable node journals its degrade state too, so a
+	// crash loses no counts.
 	DegradeToSummary bool
 	// DegradeWindow is the time-window granularity degraded readings
 	// are summarized at (default 1 minute).
 	DegradeWindow time.Duration
-	// MaxDegradedWindows bounds how many distinct windows one type's
-	// degrade buffer may hold (default 64); beyond it new readings
-	// fold into the nearest existing window — coarser, still counted.
-	MaxDegradedWindows int
-	// MaxSummaryRetry bounds a type's unsent summary-push retry queue
-	// (default 64); beyond it the oldest push is dropped and its
-	// readings finally counted as shed.
-	MaxSummaryRetry int
-	// MaxAlertRetry bounds a type's unsent continuous-query alert
-	// retry queue (default 64); beyond it the oldest push's alert
-	// instances fold into its successor — alerts are re-batched, not
-	// dropped, until maxAlertsPerPush is also exceeded.
-	MaxAlertRetry int
 	// AlertObserver, when set, sees every alert push this node's own
 	// subscriptions fire, at seal time — the hook the exactly-once
 	// chaos ledger (and local alerting sinks) attach to. Called
@@ -177,13 +166,13 @@ type Config struct {
 	// receive path. Zero selects protocol.DefaultReplayWindow.
 	ReplayWindow int
 	// Durability, when set, makes the node journal its upward-delivery
-	// state (accepted readings, sealed delivery sequences, commits,
-	// sheds, replay-filter marks) to a write-ahead log with periodic
-	// snapshots in Durability.Dir, and recover that state at
-	// construction — so a restarted node resumes with its pending
-	// shards, retry queues, sequence counter and dedup marks intact
-	// instead of starting empty. Nil (the default) keeps the node
-	// fully in-memory.
+	// state (accepted readings and summaries, sealed outbox items,
+	// commits, sheds, replay-filter marks) to a write-ahead log with
+	// periodic snapshots in Durability.Dir, and recover that state at
+	// construction — so a restarted node resumes with its pending and
+	// degrade buffers, outbox queues, sequence counter and dedup marks
+	// intact instead of starting empty. Nil (the default) keeps the
+	// node fully in-memory.
 	Durability *wal.Config
 	// Storage, when set, backs the temporal store with the tiered
 	// segment engine (WAL-journaled memtable flushing to mmap'd
@@ -250,15 +239,6 @@ func (c *Config) applyDefaults() error {
 	if c.DegradeWindow <= 0 {
 		c.DegradeWindow = time.Minute
 	}
-	if c.MaxDegradedWindows <= 0 {
-		c.MaxDegradedWindows = 64
-	}
-	if c.MaxSummaryRetry <= 0 {
-		c.MaxSummaryRetry = 64
-	}
-	if c.MaxAlertRetry <= 0 {
-		c.MaxAlertRetry = 64
-	}
 	return nil
 }
 
@@ -311,30 +291,30 @@ type Node struct {
 	cqe             *cq.Engine
 	recoveredAlerts []cq.Alert
 
-	ingestedBatches  *metrics.Counter
-	ingestedReads    *metrics.Counter
-	flushedBatches   *metrics.Counter
-	flushedBytes     *metrics.Counter
-	flushErrors      *metrics.Counter
-	rejectedReads    *metrics.Counter
-	shedReads        *metrics.Counter
-	outageDrops      *metrics.Counter
-	relayedBatches   *metrics.Counter
-	deferredFlushes  *metrics.Counter
-	dupBatches       *metrics.Counter
-	degradedReads    *metrics.Counter
-	summariesEmitted *metrics.Counter
-	degradedIn       *metrics.Counter
-	migOutTransfers  *metrics.Counter
-	migOutReads      *metrics.Counter
-	migOutBytes      *metrics.Counter
-	migInTransfers   *metrics.Counter
-	migInReads       *metrics.Counter
-	alertsFired      *metrics.Counter
-	alertPushesOut   *metrics.Counter
-	alertsIn         *metrics.Counter
-	alertFolds       *metrics.Counter
-	alertsShed       *metrics.Counter
+	ingestedBatches *metrics.Counter
+	ingestedReads   *metrics.Counter
+	flushedBytes    *metrics.Counter
+	flushErrors     *metrics.Counter
+	rejectedReads   *metrics.Counter
+	shedReads       *metrics.Counter
+	outageDrops     *metrics.Counter
+	relayedBatches  *metrics.Counter
+	deferredFlushes *metrics.Counter
+	dupBatches      *metrics.Counter
+	degradedReads   *metrics.Counter
+	degradedIn      *metrics.Counter
+	migOutTransfers *metrics.Counter
+	migOutReads     *metrics.Counter
+	migOutBytes     *metrics.Counter
+	migInTransfers  *metrics.Counter
+	migInReads      *metrics.Counter
+	alertsFired     *metrics.Counter
+	alertsIn        *metrics.Counter
+	alertFolds      *metrics.Counter
+	alertsShed      *metrics.Counter
+	// sent counts upward deliveries per item kind: flush.batches,
+	// flush.summaries_emitted, cq.pushes_out.
+	sent [3]*metrics.Counter
 
 	// scratch recycles per-flush-worker buffers (wire encoding,
 	// sealed payload, collected batch slice) so steady-state flushes
@@ -342,6 +322,9 @@ type Node struct {
 	scratch sync.Pool
 
 	lc *lifecycle
+	// closed refuses acceptances once Close or Discard began: nothing
+	// accepted after the final flush would ever leave the node.
+	closed atomic.Bool
 }
 
 // flushScratch is the reusable state of one flush worker: the
@@ -422,7 +405,6 @@ func New(cfg Config) (*Node, error) {
 	prefix := cfg.Spec.ID + "."
 	n.ingestedBatches = reg.Counter(prefix + "ingest.batches")
 	n.ingestedReads = reg.Counter(prefix + "ingest.readings")
-	n.flushedBatches = reg.Counter(prefix + "flush.batches")
 	n.flushedBytes = reg.Counter(prefix + "flush.bytes")
 	n.flushErrors = reg.Counter(prefix + "flush.errors")
 	n.rejectedReads = reg.Counter(prefix + "ingest.rejected")
@@ -432,7 +414,6 @@ func New(cfg Config) (*Node, error) {
 	n.deferredFlushes = reg.Counter(prefix + "flush.deferred")
 	n.dupBatches = reg.Counter(prefix + "ingest.duplicates")
 	n.degradedReads = reg.Counter(prefix + "flush.degraded_readings")
-	n.summariesEmitted = reg.Counter(prefix + "flush.summaries_emitted")
 	n.degradedIn = reg.Counter(prefix + "ingest.degraded_in")
 	n.migOutTransfers = reg.Counter(prefix + "migrate.out_transfers")
 	n.migOutReads = reg.Counter(prefix + "migrate.out_readings")
@@ -440,10 +421,14 @@ func New(cfg Config) (*Node, error) {
 	n.migInTransfers = reg.Counter(prefix + "migrate.in_transfers")
 	n.migInReads = reg.Counter(prefix + "migrate.in_readings")
 	n.alertsFired = reg.Counter(prefix + "cq.alerts_fired")
-	n.alertPushesOut = reg.Counter(prefix + "cq.pushes_out")
 	n.alertsIn = reg.Counter(prefix + "cq.alerts_in")
 	n.alertFolds = reg.Counter(prefix + "cq.retry_folds")
 	n.alertsShed = reg.Counter(prefix + "cq.alerts_shed")
+	n.sent = [3]*metrics.Counter{
+		protocol.ItemBatch:   reg.Counter(prefix + "flush.batches"),
+		protocol.ItemSummary: reg.Counter(prefix + "flush.summaries_emitted"),
+		protocol.ItemAlert:   reg.Counter(prefix + "cq.pushes_out"),
+	}
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, reg, prefix+"sched.")
 	}
@@ -538,27 +523,20 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 	// is forwarded to the new owner instead of queueing for this
 	// node's own flush; sequenced arrivals keep the local path so
 	// their (origin, seq) mark commits atomically with acceptance.
+	// Either acceptance is the durable gate and runs before the local
+	// store append: a journal-rejected ingest must leave no trace, or
+	// the sender's retry would duplicate readings in the store.
+	target := ""
 	if origin == "" {
-		if target := n.Route(b.TypeName); target != "" {
-			if err := n.ingestRouted(b, target); err != nil {
-				return err
-			}
-			if err := n.store.Append(b); err != nil {
-				return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
-			}
-			if n.cfg.Observer != nil {
-				n.cfg.Observer.ObserveBatch(b)
-			}
-			n.observeAlerts(b)
-			return nil
-		}
+		target = n.Route(b.TypeName)
 	}
-
-	// The enqueue is the durable acceptance gate and runs before the
-	// local store append: a journal-rejected ingest must leave no
-	// trace, or the sender's retry would duplicate readings in the
-	// store.
-	if err := n.enqueue(sh, b, origin, seq); err != nil {
+	var err error
+	if target != "" {
+		err = n.ingestRouted(b, target)
+	} else {
+		err = n.enqueue(b, origin, seq)
+	}
+	if err != nil {
 		return err
 	}
 	if err := n.store.Append(b); err != nil {
@@ -580,8 +558,11 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 // the shard lock, so the log's record order matches the buffer's
 // reading order; a journal failure rejects the ingest (the sender
 // retries) instead of accepting data the node cannot preserve.
-func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
-	sh.mu.Lock()
+func (n *Node) enqueue(b *model.Batch, origin string, seq uint64) error {
+	sh, err := n.acceptLocked(b.TypeName)
+	if err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
 	if n.journal != nil {
 		if err := n.journal.appendBatch(n.cfg.Spec.ID, b, origin, seq); err != nil {
@@ -596,83 +577,8 @@ func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint
 	} else {
 		cur.Readings = append(cur.Readings, b.Readings...)
 	}
-	n.boundTypeLocked(sh, b.TypeName)
+	n.trimLocked(sh, b.TypeName)
 	return nil
-}
-
-// boundTypeLocked enforces MaxPendingReadings across everything a
-// type has buffered upward — the retry queue (failed sends held
-// through an outage) plus the fresh pending buffer — trimming oldest
-// first: the front of the retry queue, then the pending buffer's
-// head. Without DegradeToSummary the trimmed readings are shed;
-// readings dropped from the retry queue are additionally counted as
-// DroppedDuringOutage: they were lost because the parent stayed
-// unreachable past the buffer budget, the signal operators alarm on.
-// With DegradeToSummary the trimmed readings are instead folded into
-// the type's per-window degrade buffer (resolution lost, counts
-// preserved) to be pushed upward at the next flush. Either way the
-// trim itself is journaled (best effort) so recovery does not
-// resurrect readings the bound already removed — degraded windows
-// themselves are in-memory only. The caller holds the shard lock.
-func (n *Node) boundTypeLocked(sh *pendingShard, typ string) {
-	max := n.cfg.MaxPendingReadings
-	if max <= 0 {
-		return
-	}
-	total := 0
-	for _, sb := range sh.retry[typ] {
-		total += len(sb.b.Readings)
-	}
-	if p, ok := sh.pending[typ]; ok {
-		total += len(p.Readings)
-	}
-	drop := total - max
-	if drop <= 0 {
-		return
-	}
-	if n.journal != nil {
-		// Journal the trim so recovery does not resurrect readings the
-		// bound already removed. Best-effort: losing the record
-		// degrades toward re-delivery, never toward loss.
-		_ = n.journal.appendShed(typ, drop)
-	}
-	degrade := n.cfg.DegradeToSummary
-	q := sh.retry[typ]
-	for drop > 0 && len(q) > 0 {
-		head := q[0].b
-		k := len(head.Readings)
-		if k > drop {
-			k = drop
-		}
-		if degrade {
-			n.degradeLocked(sh, typ, head.Category, head.Readings[:k])
-		} else {
-			n.shedReads.Add(int64(k))
-			n.outageDrops.Add(int64(k))
-		}
-		head.Readings = head.Readings[k:]
-		drop -= k
-		if len(head.Readings) == 0 {
-			q[0] = sealedBatch{} // release the emptied batch
-			q = q[1:]
-		}
-	}
-	if len(q) == 0 {
-		delete(sh.retry, typ)
-	} else {
-		sh.retry[typ] = q
-	}
-	if drop > 0 {
-		p := sh.pending[typ]
-		if degrade {
-			n.degradeLocked(sh, typ, p.Category, p.Readings[:drop])
-		} else {
-			n.shedReads.Add(int64(drop))
-		}
-		kept := make([]model.Reading, len(p.Readings)-drop)
-		copy(kept, p.Readings[drop:])
-		p.Readings = kept
-	}
 }
 
 // ShedReadings reports how many buffered readings were dropped under
@@ -701,21 +607,15 @@ func (n *Node) DeferredFlushes() int64 { return n.deferredFlushes.Value() }
 func (n *Node) UpstreamState() UpstreamState { return n.up.state() }
 
 // PendingBatches returns how many delivery units await an upward
-// flush: the per-type pending buffers, every batch parked on a retry
-// queue, every unsent summary push, and each nonempty degrade buffer.
+// flush: the per-type pending buffers, every queued outbox item, and
+// each nonempty degrade buffer.
 func (n *Node) PendingBatches() int {
 	total := 0
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.mu.Lock()
 		total += len(sh.pending)
-		for _, q := range sh.retry {
-			total += len(q)
-		}
-		for _, q := range sh.sumRetry {
-			total += len(q)
-		}
-		for _, q := range sh.alerts {
+		for _, q := range sh.queue {
 			total += len(q)
 		}
 		for _, buf := range sh.degraded {
@@ -729,7 +629,7 @@ func (n *Node) PendingBatches() int {
 }
 
 // PendingReadings returns how many readings are buffered for upward
-// delivery across all types (pending + retry) — the quantity
+// delivery across all types (pending + queued batches) — the quantity
 // MaxPendingReadings bounds per type.
 func (n *Node) PendingReadings() int {
 	total := 0
@@ -739,9 +639,9 @@ func (n *Node) PendingReadings() int {
 		for _, b := range sh.pending {
 			total += len(b.Readings)
 		}
-		for _, q := range sh.retry {
-			for _, sb := range q {
-				total += len(sb.b.Readings)
+		for _, q := range sh.queue {
+			for k := 0; k < len(q) && q[k].kind == protocol.ItemBatch; k++ {
+				total += len(q[k].b.Readings)
 			}
 		}
 		sh.mu.Unlock()
@@ -808,19 +708,20 @@ func (n *Node) FlushCategory(ctx context.Context, cat model.Category) error {
 		return fmt.Errorf("fognode %s: flush: invalid category %d", n.cfg.Spec.ID, int(cat))
 	}
 	n.flightMu.RLock()
-	err := n.flush(ctx, func(b *model.Batch) bool { return b.Category == cat })
+	err := n.flush(ctx, func(c model.Category) bool { return c == cat })
 	n.flightMu.RUnlock()
 	n.maybeCheckpoint()
 	return err
 }
 
-// Checkpoint folds a durable node's delivery state — pending buffers,
-// retry queues, sequence counter, replay-filter marks — into a
-// snapshot and truncates the journal, bounding recovery time. It is a
-// no-op on an in-memory node. Checkpoints exclude flushes (collected
-// batches in flight outside the shards must not lose their seal
-// records to a rotation) and hold every shard lock while encoding, so
-// the snapshot is a consistent cut.
+// Checkpoint folds a durable node's delivery state — pending and
+// degrade buffers, outbox queues, sequence counter, replay-filter
+// marks, subscriptions — into a snapshot and truncates the journal,
+// bounding recovery time. It is a no-op on an in-memory node.
+// Checkpoints exclude flushes (collected items in flight outside the
+// shards must not lose their seal records to a rotation) and hold
+// every shard lock while encoding, so the snapshot is a consistent
+// cut.
 func (n *Node) Checkpoint() error {
 	if n.journal == nil {
 		return nil
@@ -850,34 +751,12 @@ func (n *Node) maybeCheckpoint() {
 	}
 }
 
-// typeWork is one sensor type's delivery unit for a flush: the retry
-// queue (frozen sequences, oldest first) followed by the fresh
-// pending batch(es), plus any degraded summary pushes (retried first,
-// then the freshly sealed degrade buffer). A worker sends the batches
-// in order and stops at the first failure, requeueing the unsent tail
-// (summaries included), so one type's readings never arrive out of
-// order within a flush.
-type typeWork struct {
-	typ       string
-	batches   []sealedBatch
-	summaries []sealedSummary
-	alerts    []sealedAlert
-}
-
-// errDeferred marks a delivery skipped because the parent link is
-// inside its backoff window and no sibling relay is available. The
-// batch stays queued; the flush reports success (nothing was lost,
-// nothing was attempted).
-var errDeferred = errors.New("fognode: delivery deferred by backoff")
-
-// flush moves pending batches matching the filter (nil = all) upward,
-// encoding and sending with a bounded worker pool. Within one flush,
-// each sensor type is one ordered delivery unit (retry queue first,
-// then fresh data), so worker interleaving cannot reorder a type's
-// readings. (As before, two overlapping Flush calls can deliver a
-// type's batches out of order when the earlier one fails and
-// requeues.)
-func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
+// flush seals and moves every matching type (nil = all) upward with a
+// bounded worker pool. Each type is one ordered delivery unit — its
+// queue, then its freshly sealed buffers, in kind order — so worker
+// interleaving cannot reorder a type's readings. (Two overlapping
+// Flush calls can, when the earlier one fails and requeues.)
+func (n *Node) flush(ctx context.Context, match func(model.Category) bool) error {
 	defer n.store.Evict(n.cfg.Clock.Now())
 
 	now := n.cfg.Clock.Now()
@@ -892,120 +771,34 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 	// flush, so their alert pushes ride the same round.
 	n.harvestAlerts(now)
 
-	// seal freezes a pending buffer under its delivery sequence. It
-	// runs under the shard lock so that, on a durable node, the seal
-	// record lands in the journal strictly after the acceptance
-	// records it covers and before any later ingest of the type.
-	seal := func(typ string, p *model.Batch) sealedBatch {
-		sb := sealedBatch{b: p, seq: n.seq.Add(1)}
-		if n.journal != nil {
-			// Best-effort: a lost seal record degrades toward
-			// re-delivery under a fresh sequence, which the receiver's
-			// replay filter absorbs.
-			_ = n.journal.appendSeal(typ, sb.seq, len(p.Readings))
-		}
-		return sb
+	size := 0
+	if n.ctl != nil {
+		size = n.ctl.batchSize()
 	}
-	// sealChunks freezes a pending buffer as one batch, or — under the
-	// adaptive controller — as a run of chunks bounded by the current
-	// batch size, each under its own sequence (the journal's seal
-	// replay peels the same chunks off the recovered buffer head).
-	sealChunks := func(typ string, p *model.Batch) []sealedBatch {
-		size := 0
-		if n.ctl != nil {
-			size = n.ctl.batchSize()
-		}
-		if size <= 0 || len(p.Readings) <= size {
-			return []sealedBatch{seal(typ, p)}
-		}
-		out := make([]sealedBatch, 0, (len(p.Readings)+size-1)/size)
-		for start := 0; start < len(p.Readings); start += size {
-			end := start + size
-			if end > len(p.Readings) {
-				end = len(p.Readings)
-			}
-			cb := &model.Batch{
-				NodeID: p.NodeID, TypeName: p.TypeName, Category: p.Category,
-				Collected: p.Collected, Readings: p.Readings[start:end:end],
-			}
-			out = append(out, seal(typ, cb))
-		}
-		return out
-	}
-	var works []typeWork
+	matches := func(cat model.Category) bool { return match == nil || match(cat) }
+	works := make(map[string][]sealed)
 	for i := range n.shards {
 		sh := &n.shards[i]
-		// idx tracks this shard's works entries by type so summary
-		// collection joins the type's existing delivery unit (types are
-		// owned by exactly one shard).
-		idx := make(map[string]int)
 		sh.mu.Lock()
-		for typ, q := range sh.retry {
-			if match != nil && !match(q[0].b) {
-				continue
-			}
-			w := typeWork{typ: typ, batches: q}
-			if p, ok := sh.pending[typ]; ok {
-				w.batches = append(w.batches, sealChunks(typ, p)...)
-				delete(sh.pending, typ)
-			}
-			delete(sh.retry, typ)
-			idx[typ] = len(works)
-			works = append(works, w)
-		}
-		for typ, b := range sh.pending {
-			if match == nil || match(b) {
-				idx[typ] = len(works)
-				works = append(works, typeWork{typ: typ, batches: sealChunks(typ, b)})
-				delete(sh.pending, typ)
+		for typ, q := range sh.queue {
+			if matches(q[0].cat) {
+				works[typ] = q
+				delete(sh.queue, typ)
 			}
 		}
-		for typ, q := range sh.sumRetry {
-			cat, _ := model.ParseCategory(q[0].push.Category)
-			if match != nil && !match(&model.Batch{TypeName: typ, Category: cat}) {
-				continue
+		for typ, p := range sh.pending {
+			if matches(p.Category) {
+				works[typ] = append(works[typ], n.sealBatchLocked(p, size)...)
+				delete(sh.pending, typ)
 			}
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].summaries = append(works[j].summaries, q...)
-			delete(sh.sumRetry, typ)
 		}
 		for typ, buf := range sh.degraded {
-			if len(buf.windows) == 0 {
-				continue
-			}
-			if match != nil && !match(&model.Batch{TypeName: typ, Category: buf.category}) {
-				continue
-			}
-			ss := n.sealSummaryLocked(typ, buf)
-			delete(sh.degraded, typ)
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].summaries = append(works[j].summaries, ss)
-		}
-		for typ, q := range sh.alerts {
-			if match != nil {
-				cat, _ := model.ParseCategory(q[0].push.Category)
-				if !match(&model.Batch{TypeName: typ, Category: cat}) {
-					continue
+			if matches(buf.category) {
+				if it, ok := n.sealSummaryLocked(typ, buf); ok {
+					works[typ] = append(works[typ], it)
 				}
+				delete(sh.degraded, typ)
 			}
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].alerts = append(works[j].alerts, q...)
-			delete(sh.alerts, typ)
 		}
 		sh.mu.Unlock()
 	}
@@ -1015,29 +808,32 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 		}
 		return nil
 	}
-	// Deterministic send/error order for tests and accounting. (Retry
-	// batches keep their frozen sequences; fresh batches were sealed
-	// at collection, per type in buffer order.)
-	sort.Slice(works, func(i, j int) bool { return works[i].typ < works[j].typ })
-
-	if n.cfg.Spec.Parent == "" {
-		n.requeueWorks(works)
-		return fmt.Errorf("%w: %s", ErrNoParent, n.cfg.Spec.ID)
+	// Deterministic send/error order for tests and accounting.
+	types := make([]string, 0, len(works))
+	for typ := range works {
+		types = append(types, typ)
 	}
-	if n.cfg.Transport == nil {
-		n.requeueWorks(works)
+	sort.Strings(types)
+
+	if n.cfg.Spec.Parent == "" || n.cfg.Transport == nil {
+		for _, typ := range types {
+			n.requeue(typ, works[typ])
+		}
+		if n.cfg.Spec.Parent == "" {
+			return fmt.Errorf("%w: %s", ErrNoParent, n.cfg.Spec.ID)
+		}
 		return fmt.Errorf("fognode %s: no transport configured", n.cfg.Spec.ID)
 	}
 
-	errs := make([]error, len(works))
-	workers := n.cfg.FlushWorkers
-	if workers > len(works) {
-		workers = len(works)
+	errs := make([]error, len(types))
+	send := func(i int, sc *flushScratch) {
+		errs[i] = n.sendItems(ctx, types[i], byKind(works[types[i]]), now, sc)
 	}
+	workers := min(n.cfg.FlushWorkers, len(types))
 	if workers <= 1 {
 		sc := n.getScratch()
-		for i := range works {
-			errs[i] = n.sendTypeWork(ctx, works[i], now, sc)
+		for i := range types {
+			send(i, sc)
 		}
 		n.putScratch(sc)
 	} else {
@@ -1050,11 +846,11 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 				wsc := n.getScratch()
 				defer n.putScratch(wsc)
 				for i := range jobs {
-					errs[i] = n.sendTypeWork(ctx, works[i], now, wsc)
+					send(i, wsc)
 				}
 			}()
 		}
-		for i := range works {
+		for i := range types {
 			jobs <- i
 		}
 		close(jobs)
@@ -1069,170 +865,27 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 	return errors.Join(errs...)
 }
 
-// requeueWorks parks every batch and summary push of the given works
-// back on its retry queue (sequences preserved).
-func (n *Node) requeueWorks(works []typeWork) {
-	for _, w := range works {
-		n.requeue(w.batches)
-		n.requeueSummaries(w.typ, w.summaries)
-		n.requeueAlerts(w.typ, w.alerts)
+// sealBatchLocked freezes a pending buffer under fresh delivery
+// sequences: one item, or with size > 0 (the adaptive batch size)
+// chunks of at most size readings, which journal replay peels off the
+// recovered buffer head alike. Under the shard lock, the seal records
+// land after the acceptances they cover and before any later ingest.
+func (n *Node) sealBatchLocked(p *model.Batch, size int) []sealed {
+	if size <= 0 || len(p.Readings) <= size {
+		it := batchItem(p, n.seq.Add(1))
+		n.journalSeal(&it)
+		return []sealed{it}
 	}
-}
-
-// sendTypeWork delivers one type's batches in order, then its summary
-// pushes, stopping at the first failure and requeueing the unsent
-// tail. A backoff deferral is not an error: the tail stays queued for
-// a later flush.
-func (n *Node) sendTypeWork(ctx context.Context, w typeWork, now time.Time, sc *flushScratch) error {
-	for i := range w.batches {
-		if err := n.sendBatch(ctx, w.batches[i], now, sc); err != nil {
-			n.requeue(w.batches[i:])
-			n.requeueSummaries(w.typ, w.summaries)
-			n.requeueAlerts(w.typ, w.alerts)
-			if errors.Is(err, errDeferred) {
-				return nil
-			}
-			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s: %w", n.cfg.Spec.ID, w.typ, err)
-		}
-		if n.journal != nil {
-			// Acknowledged upward: the sealed batch is no longer this
-			// node's responsibility and recovery must not resend it.
-			_ = n.journal.appendCommit(w.typ, w.batches[i].seq)
-		}
+	out := make([]sealed, 0, (len(p.Readings)+size-1)/size)
+	for start := 0; start < len(p.Readings); start += size {
+		end := min(start+size, len(p.Readings))
+		cb := *p
+		cb.Readings = p.Readings[start:end:end]
+		it := batchItem(&cb, n.seq.Add(1))
+		n.journalSeal(&it)
+		out = append(out, it)
 	}
-	for i := range w.summaries {
-		if err := n.deliverSummary(ctx, w.summaries[i]); err != nil {
-			n.requeueSummaries(w.typ, w.summaries[i:])
-			n.requeueAlerts(w.typ, w.alerts)
-			if errors.Is(err, errDeferred) {
-				return nil
-			}
-			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s summaries: %w", n.cfg.Spec.ID, w.typ, err)
-		}
-	}
-	for i := range w.alerts {
-		if err := n.deliverAlert(ctx, w.alerts[i]); err != nil {
-			n.requeueAlerts(w.typ, w.alerts[i:])
-			if errors.Is(err, errDeferred) {
-				return nil
-			}
-			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s alerts: %w", n.cfg.Spec.ID, w.typ, err)
-		}
-		if n.journal != nil {
-			// Acknowledged upward: recovery must not resend this push.
-			_ = n.journal.appendAlertCommit(w.typ, w.alerts[i].push.Origin, w.alerts[i].seq)
-		}
-	}
-	return nil
-}
-
-// sendBatch seals one batch into the worker's scratch buffers under
-// its frozen delivery sequence and hands it to the failover state
-// machine: the parent when due, otherwise a sibling relay.
-func (n *Node) sendBatch(ctx context.Context, sb sealedBatch, now time.Time, sc *flushScratch) error {
-	b := sb.b
-	// Concurrent child flushes interleave arrival order at a combining
-	// layer-2 node; sealing restores time order so upward payloads —
-	// and their compressed sizes — are deterministic for a given set
-	// of readings.
-	sortBatchReadings(b)
-	b.Collected = now
-	payload, err := sc.sealer.SealSeq(sc.payload[:0], b, n.cfg.Codec, sb.seq)
-	if err != nil {
-		return err
-	}
-	sc.payload = payload
-	return n.deliver(ctx, payload, b.Category.String())
-}
-
-// deliver runs the failover policy for one sealed payload: probe the
-// parent when the backoff window allows, fall over to sibling relays
-// once the failure threshold is crossed, and defer when neither is
-// available. A parent success heals the state machine.
-func (n *Node) deliver(ctx context.Context, payload []byte, class string) error {
-	now := n.cfg.Clock.Now()
-	var parentErr error
-	if n.up.parentDue(now) {
-		msg := transport.Message{
-			From:    n.cfg.Spec.ID,
-			To:      n.cfg.Spec.Parent,
-			Kind:    transport.KindBatch,
-			Class:   class,
-			Payload: payload,
-		}
-		start := time.Now()
-		if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
-			n.up.onParentSuccess()
-			if n.ctl != nil {
-				n.ctl.observeRTT(time.Since(start))
-			}
-			n.flushedBatches.Inc()
-			n.flushedBytes.Add(msg.WireSize())
-			return nil
-		} else if errors.Is(err, transport.ErrBackpressure) || transport.IsOverload(err) {
-			// Backpressure (window full) and overload (parent's
-			// admission queue full) are not failure: the parent is
-			// alive but saturated. Keep the batch queued and defer to
-			// the next flush — escalating to sibling relays would only
-			// shift the overload sideways. The adaptive controller
-			// backs the batch size off in response.
-			if n.ctl != nil {
-				n.ctl.onBackpressure()
-			}
-			n.deferredFlushes.Inc()
-			return errDeferred
-		} else {
-			parentErr = err
-			n.up.onParentFailure(now)
-		}
-	}
-	targets := n.up.relayTargets()
-	if len(targets) == 0 {
-		if parentErr != nil {
-			return parentErr
-		}
-		return errDeferred
-	}
-	var relayErrs []error
-	for _, sibling := range targets {
-		msg := transport.Message{
-			From:    n.cfg.Spec.ID,
-			To:      sibling,
-			Kind:    transport.KindRelay,
-			Class:   class,
-			Payload: payload,
-		}
-		if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
-			n.relayedBatches.Inc()
-			n.flushedBatches.Inc()
-			n.flushedBytes.Add(msg.WireSize())
-			return nil
-		} else {
-			relayErrs = append(relayErrs, err)
-		}
-	}
-	if parentErr != nil {
-		relayErrs = append([]error{parentErr}, relayErrs...)
-	}
-	return fmt.Errorf("parent and %d sibling relays failed: %w", len(targets), errors.Join(relayErrs...))
-}
-
-// requeue parks failed batches back on their type's retry queue in
-// order, sequences frozen, re-applying the MaxPendingReadings bound
-// so the buffer stays bounded across a long parent outage.
-func (n *Node) requeue(batches []sealedBatch) {
-	if len(batches) == 0 {
-		return
-	}
-	typ := batches[0].b.TypeName
-	sh := n.shardFor(typ)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.retry[typ] = append(sh.retry[typ], batches...)
-	n.boundTypeLocked(sh, typ)
+	return out
 }
 
 // Status reports the node's state.
@@ -1251,9 +904,10 @@ func (n *Node) Status() protocol.StatusResponse {
 
 var _ transport.Handler = (*Node)(nil)
 
-// Handle implements transport.Handler: child batches, degraded
-// summary pushes, sibling relay requests, queries and control
-// commands. With a scheduler configured, every message first passes
+// Handle implements transport.Handler: child batches, summary and
+// alert pushes and migration chunks (all through the receive gate),
+// sibling relay requests, queries and control commands. With a
+// scheduler configured, every message first passes
 // the per-class weighted-fair admission gate, so a query is served by
 // its 8x share of this node's handler capacity even while bulk ingest
 // saturates it; an overflowing class is rejected fast with the typed
@@ -1275,33 +929,32 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		// At-least-once dedup: a sender whose acknowledgement was lost
-		// retries the same sealed content under the same sequence; the
-		// replay filter recognizes it and the duplicate is acknowledged
-		// without re-ingesting. The filter is keyed by the batch's
-		// origin (not msg.From) so a copy arriving through a sibling
-		// relay and a direct retry dedupe against each other.
-		if n.replay.Seen(b.NodeID, seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
 		// The ingest journals the (origin, seq) mark atomically with
 		// the acceptance on a durable node.
-		if err := n.ingest(b, b.NodeID, seq); err != nil {
+		return n.receive(b.NodeID, seq, func() error { return n.ingest(b, b.NodeID, seq) })
+	case transport.KindSummaryPush:
+		p, err := protocol.DecodeSummaryPush(msg.Payload)
+		if err != nil {
 			return nil, err
 		}
-		// Mark only after a successful ingest: marking earlier would
-		// blackhole the sender's retry of a batch that failed to land.
-		n.replay.Mark(b.NodeID, seq)
-		return []byte("ok"), nil
-	case transport.KindSummaryPush:
-		return n.handleSummaryPush(msg.Payload)
+		return n.receive(p.Origin, p.Seq, func() error { return n.absorbSummary(p, msg.Payload) })
 	case transport.KindAlertPush:
-		return n.handleAlertPush(msg.Payload)
+		p, err := protocol.DecodeAlertPush(msg.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return n.receive(p.Origin, p.Seq, func() error { return n.absorbAlert(p, msg.Payload) })
 	case transport.KindRelay:
 		return n.handleRelay(ctx, msg)
 	case transport.KindMigrate:
-		return n.handleMigrate(msg)
+		t, err := protocol.DecodeMigrateTransfer(msg.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("fognode %s: migrate: %w", n.cfg.Spec.ID, err)
+		}
+		if t.To != n.cfg.Spec.ID {
+			return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", n.cfg.Spec.ID, t.To)
+		}
+		return n.receive(t.From, t.TransferSeq, func() error { return n.absorbMigrate(t, msg.Payload) })
 	case transport.KindQuery:
 		return n.handleQuery(msg.Payload)
 	case transport.KindSummary:

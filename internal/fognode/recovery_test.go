@@ -232,9 +232,13 @@ func TestRecoveryReplayFilterSurvivesRestart(t *testing.T) {
 // deduped by the parent.
 func TestRecoveryCommitAdvancesSequenceCounter(t *testing.T) {
 	rs := newRecoveryState()
+	rs.self = "fog1/d01-s01"
 	rec := []byte{recCommit}
-	rec = wal.AppendUint64(rec, 9001)
 	rec = wal.AppendString(rec, "traffic")
+	rec = wal.AppendUvarint(rec, 1)
+	rec = append(rec, byte(protocol.ItemBatch))
+	rec = wal.AppendUint64(rec, 9001)
+	rec = wal.AppendString(rec, rs.self)
 	if err := rs.applyRecord(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -434,13 +438,16 @@ func recoveryProperty(t *testing.T, seed int64) {
 }
 
 // pendingValues collects the values buffered for upward delivery
-// (pending + retry) for one type.
+// (pending + queued batches) for one type.
 func pendingValues(n *Node, typ string) []float64 {
 	sh := n.shardFor(typ)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var out []float64
-	for _, sb := range sh.retry[typ] {
+	for _, sb := range sh.queue[typ] {
+		if sb.b == nil {
+			continue
+		}
 		for _, r := range sb.b.Readings {
 			out = append(out, r.Value)
 		}

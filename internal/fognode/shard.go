@@ -14,37 +14,20 @@ import (
 // to scan on flush.
 const defaultPendingShards = 16
 
-// sealedBatch pairs a batch with the delivery sequence it was (or
-// will be) sealed under. A sequence of zero means "not yet assigned";
-// once a batch has been sent under a sequence, the pairing is frozen
-// so retries after a lost acknowledgement present the same identity
-// and the receiver's replay filter can drop the duplicate.
-type sealedBatch struct {
-	b   *model.Batch
-	seq uint64
-}
-
-// pendingShard guards one hash slice of the per-type pending buffers,
-// retry queues and description tags, so concurrent Ingest calls on
-// different sensor types proceed without contending on a node-wide
-// lock. pending accumulates fresh readings per type; retry holds
-// batches whose upward send failed, FIFO in collection order, each
-// frozen with its delivery sequence.
+// pendingShard guards one hash slice of the per-type upward state and
+// description tags, so concurrent Ingest calls on different sensor
+// types proceed without contending on a node-wide lock. pending and
+// degraded are a type's unsealed accumulators: fresh readings, and the
+// per-window summaries of readings the MaxPendingReadings bound folded
+// away under degrade-to-summary (plus summaries pushed up from
+// children, awaiting re-emission). queue is the type's outbox: sealed
+// items awaiting upward delivery, kind-ordered (see outbox.go).
 type pendingShard struct {
-	mu      sync.Mutex
-	pending map[string]*model.Batch
-	retry   map[string][]sealedBatch
-	tags    map[string]describe.Tags
-	// degraded holds per-type window summaries of readings the
-	// MaxPendingReadings bound folded away under degrade-to-summary
-	// (and summaries pushed up from children, awaiting re-emission);
-	// sumRetry holds sealed summary pushes whose upward send failed.
+	mu       sync.Mutex
+	pending  map[string]*model.Batch
 	degraded map[string]*degradeBuf
-	sumRetry map[string][]sealedSummary
-	// alerts holds sealed continuous-query alert pushes awaiting
-	// upward delivery — this node's own fires plus pushes absorbed
-	// verbatim from children, FIFO in seal order.
-	alerts map[string][]sealedAlert
+	queue    map[string][]sealed
+	tags     map[string]describe.Tags
 }
 
 // newPendingShards allocates n shards rounded up to a power of two
@@ -60,11 +43,9 @@ func newPendingShards(n int) []pendingShard {
 	shards := make([]pendingShard, size)
 	for i := range shards {
 		shards[i].pending = make(map[string]*model.Batch)
-		shards[i].retry = make(map[string][]sealedBatch)
-		shards[i].tags = make(map[string]describe.Tags)
 		shards[i].degraded = make(map[string]*degradeBuf)
-		shards[i].sumRetry = make(map[string][]sealedSummary)
-		shards[i].alerts = make(map[string][]sealedAlert)
+		shards[i].queue = make(map[string][]sealed)
+		shards[i].tags = make(map[string]describe.Tags)
 	}
 	return shards
 }

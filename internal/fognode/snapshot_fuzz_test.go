@@ -12,7 +12,7 @@ import (
 )
 
 // genShardState derives a random-but-valid delivery state from a seed:
-// per-type retry queues of sealed batches plus pending buffers, with
+// per-type outbox queues of sealed batches plus pending buffers, with
 // field values chosen to round-trip the sensor wire text exactly
 // (bounded strings without delimiter bytes, 5-decimal coordinates,
 // integral values).
@@ -49,10 +49,7 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 		// Route types to shards exactly like the node would.
 		target := &shards[shardIndex(typ, len(shards))]
 		for g := 0; g < rng.Intn(4); g++ {
-			target.retry[typ] = append(target.retry[typ], sealedBatch{
-				b:   genBatch(typ, 1+rng.Intn(5)),
-				seq: uint64(rng.Int63()) | 1,
-			})
+			target.queue[typ] = append(target.queue[typ], batchItem(genBatch(typ, 1+rng.Intn(5)), uint64(rng.Int63())|1))
 		}
 		if rng.Intn(2) == 0 {
 			target.pending[typ] = genBatch(typ, 1+rng.Intn(5))
@@ -88,7 +85,11 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 					Value:     float64(rng.Intn(100)),
 				})
 			}
-			target.alerts[typ] = append(target.alerts[typ], sealedAlert{push: push, seq: push.Seq})
+			payload, err := protocol.EncodeAlertPush(&push)
+			if err != nil {
+				panic(err)
+			}
+			target.queue[typ] = append(target.queue[typ], alertItem(&push, payload))
 		}
 	}
 	for s := 0; s < rng.Intn(3); s++ {
@@ -143,21 +144,20 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		// cq sections.
 		readings, entries, markCount, pushes, instances := 0, 0, 0, 0, 0
 		for i := range shards {
-			for _, q := range shards[i].retry {
-				entries += len(q)
+			for _, q := range shards[i].queue {
 				for _, sb := range q {
-					readings += len(sb.b.Readings)
+					if sb.kind == protocol.ItemBatch {
+						entries++
+						readings += len(sb.b.Readings)
+						continue
+					}
+					pushes++
+					instances += len(queuedAlerts(t, sb).Alerts)
 				}
 			}
 			for _, b := range shards[i].pending {
 				entries++
 				readings += len(b.Readings)
-			}
-			for _, q := range shards[i].alerts {
-				pushes += len(q)
-				for _, sa := range q {
-					instances += len(sa.push.Alerts)
-				}
 			}
 		}
 		for _, seqs := range marks {
@@ -198,16 +198,17 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		// pending buffer must round-trip exactly.
 		for i := range shards {
 			sh := &shards[i]
-			for typ, q := range sh.retry {
+			for typ, q := range sh.queue {
+				q = q[:countBatches(q)]
 				tr := rs.types[typ]
-				if tr == nil || len(tr.groups) != len(q) {
+				if tr == nil || countBatches(tr.queue) != len(q) {
 					t.Fatalf("type %s: recovered %v groups, want %d", typ, tr, len(q))
 				}
 				for gi := range q {
-					if tr.groups[gi].seq != q[gi].seq {
-						t.Fatalf("type %s group %d seq = %d, want %d", typ, gi, tr.groups[gi].seq, q[gi].seq)
+					if tr.queue[gi].seq != q[gi].seq {
+						t.Fatalf("type %s group %d seq = %d, want %d", typ, gi, tr.queue[gi].seq, q[gi].seq)
 					}
-					assertSameReadings(t, typ, tr.groups[gi].b.Readings, q[gi].b.Readings)
+					assertSameReadings(t, typ, tr.queue[gi].b.Readings, q[gi].b.Readings)
 				}
 			}
 			for typ, p := range sh.pending {
@@ -219,14 +220,21 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 			// Alert queues: every queued push must recover keyed by its
 			// (origin, seq) with its instances intact.
-			for typ, q := range sh.alerts {
-				for _, sa := range q {
-					got, ok := rs.alertByKey[alertKey{origin: sa.push.Origin, seq: sa.seq}]
-					if !ok {
-						t.Fatalf("type %s: queued push (%s, %d) lost", typ, sa.push.Origin, sa.seq)
+			for typ, q := range sh.queue {
+				for _, sa := range q[countBatches(q):] {
+					var got *sealed
+					if tr := rs.types[typ]; tr != nil {
+						for k := range tr.queue {
+							if sameItem(&tr.queue[k], &sa) {
+								got = &tr.queue[k]
+							}
+						}
 					}
-					if len(got.Alerts) != len(sa.push.Alerts) {
-						t.Fatalf("type %s push %d: %d alerts, want %d", typ, sa.seq, len(got.Alerts), len(sa.push.Alerts))
+					if got == nil {
+						t.Fatalf("type %s: queued push (%s, %d) lost", typ, sa.origin, sa.seq)
+					}
+					if g, w := len(queuedAlerts(t, *got).Alerts), len(queuedAlerts(t, sa).Alerts); g != w {
+						t.Fatalf("type %s push %d: %d alerts, want %d", typ, sa.seq, g, w)
 					}
 				}
 			}
@@ -243,6 +251,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// countBatches returns the length of a kind-ordered queue's batch
+// prefix.
+func countBatches(q []sealed) int {
+	_, hi := kindSpan(q, protocol.ItemBatch)
+	return hi
+}
+
+// queuedAlerts decodes a queued alert item's push.
+func queuedAlerts(t *testing.T, it sealed) *protocol.AlertPush {
+	t.Helper()
+	p, err := protocol.DecodeAlertPush(it.payload)
+	if err != nil {
+		t.Fatalf("queued alert push (%s, %d): %v", it.origin, it.seq, err)
+	}
+	return p
 }
 
 func assertSameReadings(t *testing.T, typ string, got, want []model.Reading) {

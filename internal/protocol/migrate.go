@@ -9,39 +9,33 @@ import (
 // Migration wire format (transport.KindMigrate payloads).
 //
 // A migration moves one sensor type's delivery state from its old
-// fog owner to its new one: the frozen-sequence retry queue and
-// sealed pending buffer travel as the SAME sealed envelopes the
-// upward path uses (Sealer.SealSeq output, opaque bytes), so the
-// sequence space is preserved end to end — the target's flushes
-// present the original (origin, seq) identities and every
-// replay-filter downstream keeps deduping exactly as before the
-// handoff. Degrade-summary buffers travel as their JSON pushes with
-// their shared-space sequences, and the source's replay-filter marks
-// ride along so the target inherits the source's dedup horizon.
+// fog owner to its new one. Every queued upward delivery unit — a
+// sealed batch, a degrade summary push, a continuous-query alert
+// push — travels as one kind-tagged item carrying the SAME wire
+// payload the upward path sends (Sealer.SealSeq envelope, SummaryPush
+// JSON, AlertPush wire), opaque to this codec, so the sequence space
+// is preserved end to end: the target's flushes present the original
+// (origin, seq) identities and every replay filter downstream keeps
+// deduping exactly as before the handoff. The source's replay-filter
+// marks ride along so the target inherits its dedup horizon, and the
+// moved type's standing subscriptions travel with their live window
+// state, so an open window keeps accumulating on the new owner.
 //
 // Layout (all integers via the wal binary helpers):
 //
-//	0xF3 version=2
-//	typeName from to          (uvarint-prefixed strings)
-//	transferSeq               (8 bytes)
-//	nEntries { seq, payload } (sealed batch envelopes)
-//	nSummaries { seq, json }  (SummaryPush documents)
-//	markSet                   (origin -> seqs)
-//	nAlerts { seq, payload }  (encoded AlertPush pushes; v2 only)
-//	nSubs { json }            (cq subscription-state documents; v2 only)
-//
-// Version 2 appends the continuous-query sections: the moved type's
-// standing subscriptions (with their live window panes, so an open
-// window keeps accumulating on the new owner instead of double- or
-// zero-counting) and the queued alert pushes awaiting upward
-// delivery. A v1 payload still decodes (empty cq sections).
+//	0xF3 version=3
+//	typeName from to             (uvarint-prefixed strings)
+//	transferSeq                  (8 bytes)
+//	nItems { kind, seq, payload } (kind u8: ItemBatch/ItemSummary/ItemAlert)
+//	markSet                      (origin -> seqs)
+//	nSubs { json }               (cq subscription-state documents)
 //
 // A transfer is bounded by MaxMigrateWireSize; one transfer carries a
 // chunk of a shard, never the whole node state, which is what keeps
 // rebalance traffic proportional to the moved shards.
 const (
 	migrateMagic   = 0xF3
-	migrateVersion = 2
+	migrateVersion = 3
 )
 
 // migrateHeadroom is the room a transfer header, summaries, and marks
@@ -76,29 +70,27 @@ func (e *MigrateSizeError) Error() string {
 	return fmt.Sprintf("protocol: migration transfer of %d bytes exceeds limit %d", e.Size, e.Limit)
 }
 
-// MigrateEntry is one sealed batch moving to the new owner.
-type MigrateEntry struct {
-	// Seq is the frozen delivery sequence (the same value sealed into
-	// the envelope header).
+// ItemKind tags one upward delivery unit: the three kinds a fog
+// tier forwards share one sequence space, one queue and one wire slot
+// in a migration transfer.
+type ItemKind uint8
+
+const (
+	// ItemBatch is a sealed batch envelope (Sealer.SealSeq output).
+	ItemBatch ItemKind = iota
+	// ItemSummary is a degrade SummaryPush, JSON-encoded.
+	ItemSummary
+	// ItemAlert is a continuous-query AlertPush, binary-encoded.
+	ItemAlert
+)
+
+// MigrateItem is one queued delivery unit moving to the new owner.
+type MigrateItem struct {
+	Kind ItemKind
+	// Seq is the frozen delivery sequence (the same value carried
+	// inside the payload).
 	Seq uint64
-	// Payload is the sealed envelope (Sealer.SealSeq output),
-	// opaque to the migration codec.
-	Payload []byte
-}
-
-// MigrateSummary is one degraded-window summary moving to the new
-// owner. Its sequence shares the batch sequence space.
-type MigrateSummary struct {
-	Seq  uint64
-	Push SummaryPush
-}
-
-// MigrateAlert is one queued continuous-query alert push moving to
-// the new owner. Its sequence shares the batch sequence space; the
-// payload is an encoded AlertPush kept opaque so the original
-// (Origin, Seq) identity and alert instances survive the move intact.
-type MigrateAlert struct {
-	Seq     uint64
+	// Payload is the item's upward wire payload.
 	Payload []byte
 }
 
@@ -113,22 +105,20 @@ type MigrateTransfer struct {
 	// space; the target marks it in its replay filter so a retried
 	// transfer is absorbed exactly once.
 	TransferSeq uint64
-	// Entries are the sealed batches of the moved shard.
-	Entries []MigrateEntry
-	// Summaries are the sealed degrade-window summaries.
-	Summaries []MigrateSummary
+	// Items are the moved type's queued delivery units, batches first,
+	// then summary pushes, then alert pushes, each oldest first.
+	Items []MigrateItem
 	// Marks is the slice of the source's replay-filter state moving
 	// with the shard.
 	Marks map[string][]uint64
-	// Alerts are the queued continuous-query pushes of the moved type,
-	// oldest first.
-	Alerts []MigrateAlert
 	// Subs are the moved type's standing subscriptions with their live
 	// window state, as opaque cq snapshot JSON documents.
 	Subs [][]byte
 }
 
-// Validate checks semantic invariants after a decode.
+// Validate checks semantic invariants after a decode. Summary items
+// are decoded and validated too; batch and alert payloads stay opaque
+// until the receiving node opens them.
 func (t *MigrateTransfer) Validate() error {
 	switch {
 	case t.TypeName == "":
@@ -142,28 +132,20 @@ func (t *MigrateTransfer) Validate() error {
 	case t.TransferSeq == 0:
 		return fmt.Errorf("protocol: migration transfer without a sequence")
 	}
-	for i := range t.Entries {
-		if t.Entries[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration entry %d without a sequence", i)
+	for i := range t.Items {
+		it := &t.Items[i]
+		switch {
+		case it.Kind > ItemAlert:
+			return fmt.Errorf("protocol: migration item %d of unknown kind %d", i, it.Kind)
+		case it.Seq == 0:
+			return fmt.Errorf("protocol: migration item %d without a sequence", i)
+		case len(it.Payload) == 0:
+			return fmt.Errorf("protocol: migration item %d without a payload", i)
 		}
-		if len(t.Entries[i].Payload) == 0 {
-			return fmt.Errorf("protocol: migration entry %d without a payload", i)
-		}
-	}
-	for i := range t.Summaries {
-		if t.Summaries[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration summary %d without a sequence", i)
-		}
-		if err := t.Summaries[i].Push.Validate(); err != nil {
-			return fmt.Errorf("protocol: migration summary %d: %w", i, err)
-		}
-	}
-	for i := range t.Alerts {
-		if t.Alerts[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration alert %d without a sequence", i)
-		}
-		if len(t.Alerts[i].Payload) == 0 {
-			return fmt.Errorf("protocol: migration alert %d without a payload", i)
+		if it.Kind == ItemSummary {
+			if _, err := DecodeSummaryPush(it.Payload); err != nil {
+				return fmt.Errorf("protocol: migration item %d: %w", i, err)
+			}
 		}
 	}
 	for i := range t.Subs {
@@ -187,26 +169,13 @@ func AppendMigrateTransfer(dst []byte, t *MigrateTransfer) ([]byte, error) {
 	dst = wal.AppendString(dst, t.From)
 	dst = wal.AppendString(dst, t.To)
 	dst = wal.AppendUint64(dst, t.TransferSeq)
-	dst = wal.AppendUvarint(dst, uint64(len(t.Entries)))
-	for i := range t.Entries {
-		dst = wal.AppendUint64(dst, t.Entries[i].Seq)
-		dst = wal.AppendBytes(dst, t.Entries[i].Payload)
-	}
-	dst = wal.AppendUvarint(dst, uint64(len(t.Summaries)))
-	for i := range t.Summaries {
-		doc, err := EncodeJSON(t.Summaries[i].Push)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: encode migration summary: %w", err)
-		}
-		dst = wal.AppendUint64(dst, t.Summaries[i].Seq)
-		dst = wal.AppendBytes(dst, doc)
+	dst = wal.AppendUvarint(dst, uint64(len(t.Items)))
+	for i := range t.Items {
+		dst = append(dst, byte(t.Items[i].Kind))
+		dst = wal.AppendUint64(dst, t.Items[i].Seq)
+		dst = wal.AppendBytes(dst, t.Items[i].Payload)
 	}
 	dst = wal.AppendMarkSet(dst, t.Marks)
-	dst = wal.AppendUvarint(dst, uint64(len(t.Alerts)))
-	for i := range t.Alerts {
-		dst = wal.AppendUint64(dst, t.Alerts[i].Seq)
-		dst = wal.AppendBytes(dst, t.Alerts[i].Payload)
-	}
 	dst = wal.AppendUvarint(dst, uint64(len(t.Subs)))
 	for i := range t.Subs {
 		dst = wal.AppendBytes(dst, t.Subs[i])
@@ -235,9 +204,8 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if data[0] != migrateMagic {
 		return nil, fmt.Errorf("protocol: bad migration magic 0x%02x", data[0])
 	}
-	version := data[1]
-	if version == 0 || version > migrateVersion {
-		return nil, fmt.Errorf("protocol: unsupported migration version %d", version)
+	if data[1] != migrateVersion {
+		return nil, fmt.Errorf("protocol: unsupported migration version %d", data[1])
 	}
 	rest := data[2:]
 	t := &MigrateTransfer{}
@@ -254,49 +222,32 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if t.TransferSeq, rest, err = wal.ReadUint64(rest); err != nil {
 		return nil, fmt.Errorf("protocol: migration sequence: %w", err)
 	}
-	nEntries, rest, err := wal.ReadUvarint(rest)
+	nItems, rest, err := wal.ReadUvarint(rest)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: migration entry count: %w", err)
+		return nil, fmt.Errorf("protocol: migration item count: %w", err)
 	}
-	// Each entry consumes at least 9 bytes; a count beyond the
+	// Each item consumes at least 10 bytes; a count beyond the
 	// remaining payload is hostile.
-	if nEntries > uint64(len(rest)) {
-		return nil, fmt.Errorf("protocol: migration claims %d entries in %d bytes", nEntries, len(rest))
+	if nItems > uint64(len(rest)) {
+		return nil, fmt.Errorf("protocol: migration claims %d items in %d bytes", nItems, len(rest))
 	}
-	t.Entries = make([]MigrateEntry, 0, nEntries)
-	for i := uint64(0); i < nEntries; i++ {
-		var e MigrateEntry
-		if e.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration entry %d seq: %w", i, err)
+	if nItems > 0 {
+		t.Items = make([]MigrateItem, 0, nItems)
+	}
+	for i := uint64(0); i < nItems; i++ {
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("protocol: migration item %d truncated", i)
+		}
+		it := MigrateItem{Kind: ItemKind(rest[0])}
+		if it.Seq, rest, err = wal.ReadUint64(rest[1:]); err != nil {
+			return nil, fmt.Errorf("protocol: migration item %d seq: %w", i, err)
 		}
 		var payload []byte
 		if payload, rest, err = wal.ReadBytes(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration entry %d payload: %w", i, err)
+			return nil, fmt.Errorf("protocol: migration item %d payload: %w", i, err)
 		}
-		e.Payload = append([]byte(nil), payload...)
-		t.Entries = append(t.Entries, e)
-	}
-	nSummaries, rest, err := wal.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: migration summary count: %w", err)
-	}
-	if nSummaries > uint64(len(rest)) {
-		return nil, fmt.Errorf("protocol: migration claims %d summaries in %d bytes", nSummaries, len(rest))
-	}
-	t.Summaries = make([]MigrateSummary, 0, nSummaries)
-	for i := uint64(0); i < nSummaries; i++ {
-		var s MigrateSummary
-		if s.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d seq: %w", i, err)
-		}
-		var doc []byte
-		if doc, rest, err = wal.ReadBytes(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d doc: %w", i, err)
-		}
-		if err := DecodeJSON(doc, &s.Push); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d: %w", i, err)
-		}
-		t.Summaries = append(t.Summaries, s)
+		it.Payload = append([]byte(nil), payload...)
+		t.Items = append(t.Items, it)
 	}
 	rest, err = wal.ReadMarkSet(rest, func(origin string, seq uint64) {
 		if t.Marks == nil {
@@ -307,48 +258,22 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: migration marks: %w", err)
 	}
-	if version >= 2 {
-		nAlerts, r, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: migration alert count: %w", err)
+	nSubs, rest, err := wal.ReadUvarint(rest)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: migration subscription count: %w", err)
+	}
+	if nSubs > uint64(len(rest)) {
+		return nil, fmt.Errorf("protocol: migration claims %d subscriptions in %d bytes", nSubs, len(rest))
+	}
+	if nSubs > 0 {
+		t.Subs = make([][]byte, 0, nSubs)
+	}
+	for i := uint64(0); i < nSubs; i++ {
+		var doc []byte
+		if doc, rest, err = wal.ReadBytes(rest); err != nil {
+			return nil, fmt.Errorf("protocol: migration subscription %d doc: %w", i, err)
 		}
-		rest = r
-		if nAlerts > uint64(len(rest)) {
-			return nil, fmt.Errorf("protocol: migration claims %d alerts in %d bytes", nAlerts, len(rest))
-		}
-		if nAlerts > 0 {
-			t.Alerts = make([]MigrateAlert, 0, nAlerts)
-		}
-		for i := uint64(0); i < nAlerts; i++ {
-			var a MigrateAlert
-			if a.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration alert %d seq: %w", i, err)
-			}
-			var payload []byte
-			if payload, rest, err = wal.ReadBytes(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration alert %d payload: %w", i, err)
-			}
-			a.Payload = append([]byte(nil), payload...)
-			t.Alerts = append(t.Alerts, a)
-		}
-		nSubs, r2, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: migration subscription count: %w", err)
-		}
-		rest = r2
-		if nSubs > uint64(len(rest)) {
-			return nil, fmt.Errorf("protocol: migration claims %d subscriptions in %d bytes", nSubs, len(rest))
-		}
-		if nSubs > 0 {
-			t.Subs = make([][]byte, 0, nSubs)
-		}
-		for i := uint64(0); i < nSubs; i++ {
-			var doc []byte
-			if doc, rest, err = wal.ReadBytes(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration subscription %d doc: %w", i, err)
-			}
-			t.Subs = append(t.Subs, append([]byte(nil), doc...))
-		}
+		t.Subs = append(t.Subs, append([]byte(nil), doc...))
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes after migration transfer", len(rest))

@@ -14,7 +14,7 @@ import (
 func sampleTransfer(t *testing.T) *MigrateTransfer {
 	t.Helper()
 	var s Sealer
-	mk := func(seq uint64, vals ...float64) MigrateEntry {
+	mk := func(seq uint64, vals ...float64) MigrateItem {
 		b := &model.Batch{
 			NodeID:    "fog1/d01-s02",
 			TypeName:  "traffic.flow",
@@ -34,33 +34,42 @@ func sampleTransfer(t *testing.T) *MigrateTransfer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return MigrateEntry{Seq: seq, Payload: payload}
+		return MigrateItem{Kind: ItemBatch, Seq: seq, Payload: payload}
 	}
 	return &MigrateTransfer{
 		TypeName:    "traffic.flow",
 		From:        "fog1/d01-s02",
 		To:          "fog1/d01-s03",
 		TransferSeq: 99,
-		Entries:     []MigrateEntry{mk(11, 1, 2, 3), mk(12, 4.5)},
-		Summaries: []MigrateSummary{{
-			Seq: 13,
-			Push: SummaryPush{
-				Origin:   "fog1/d01-s02",
-				Seq:      13,
-				TypeName: "traffic.flow",
-				Category: model.CategoryUrban.String(),
-				Windows: []SummaryWindow{{
-					StartUnix: 1700000000e9,
-					EndUnix:   1700000060e9,
-					Summary:   aggregate.Summary{Count: 4, Sum: 10, Min: 1, Max: 4.5},
-				}},
-			},
-		}},
+		Items:       []MigrateItem{mk(11, 1, 2, 3), mk(12, 4.5), summaryItem(t, sampleSummaryPush())},
 		Marks: map[string][]uint64{
 			"fog1/d01-s01": {3, 4, 7},
 			"edge/x":       {1},
 		},
 	}
+}
+
+func sampleSummaryPush() SummaryPush {
+	return SummaryPush{
+		Origin:   "fog1/d01-s02",
+		Seq:      13,
+		TypeName: "traffic.flow",
+		Category: model.CategoryUrban.String(),
+		Windows: []SummaryWindow{{
+			StartUnix: 1700000000e9,
+			EndUnix:   1700000060e9,
+			Summary:   aggregate.Summary{Count: 4, Sum: 10, Min: 1, Max: 4.5},
+		}},
+	}
+}
+
+func summaryItem(t *testing.T, p SummaryPush) MigrateItem {
+	t.Helper()
+	doc, err := EncodeJSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MigrateItem{Kind: ItemSummary, Seq: p.Seq, Payload: doc}
 }
 
 func TestMigrateTransferRoundTrip(t *testing.T) {
@@ -78,7 +87,7 @@ func TestMigrateTransferRoundTrip(t *testing.T) {
 	}
 	// The embedded payloads must still open as sealed envelopes with
 	// their frozen sequences intact.
-	for _, e := range out.Entries {
+	for _, e := range out.Items[:2] {
 		b, _, seq, err := DecodeBatchPayloadSeq(e.Payload)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +103,7 @@ func TestMigrateTransferRoundTrip(t *testing.T) {
 
 func TestMigrateTransferNoSummariesNoMarks(t *testing.T) {
 	in := sampleTransfer(t)
-	in.Summaries = nil
+	in.Items = in.Items[:2]
 	in.Marks = nil
 	wire, err := EncodeMigrateTransfer(in)
 	if err != nil {
@@ -104,7 +113,7 @@ func TestMigrateTransferNoSummariesNoMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Summaries) != 0 || out.Marks != nil {
+	if len(out.Items) != 2 || out.Marks != nil {
 		t.Fatalf("empty sections came back non-empty: %+v", out)
 	}
 }
@@ -120,10 +129,14 @@ func TestMigrateTransferValidation(t *testing.T) {
 		{"no target", func(m *MigrateTransfer) { m.To = "" }, "without a target"},
 		{"self transfer", func(m *MigrateTransfer) { m.To = m.From }, "to itself"},
 		{"no sequence", func(m *MigrateTransfer) { m.TransferSeq = 0 }, "without a sequence"},
-		{"entry without seq", func(m *MigrateTransfer) { m.Entries[0].Seq = 0 }, "entry 0 without a sequence"},
-		{"entry without payload", func(m *MigrateTransfer) { m.Entries[1].Payload = nil }, "entry 1 without a payload"},
-		{"summary without seq", func(m *MigrateTransfer) { m.Summaries[0].Seq = 0 }, "summary 0 without a sequence"},
-		{"invalid push", func(m *MigrateTransfer) { m.Summaries[0].Push.Origin = "" }, "needs an origin"},
+		{"entry without seq", func(m *MigrateTransfer) { m.Items[0].Seq = 0 }, "item 0 without a sequence"},
+		{"entry without payload", func(m *MigrateTransfer) { m.Items[1].Payload = nil }, "item 1 without a payload"},
+		{"summary without seq", func(m *MigrateTransfer) { m.Items[2].Seq = 0 }, "item 2 without a sequence"},
+		{"invalid push", func(m *MigrateTransfer) {
+			p := sampleSummaryPush()
+			p.Origin = ""
+			m.Items[2] = summaryItem(t, p)
+		}, "needs an origin"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,7 +154,7 @@ func TestMigrateTransferOversizedRejected(t *testing.T) {
 	in := sampleTransfer(t)
 	// Inflate one entry past the bound; encode must fail with the
 	// typed error, not truncate.
-	in.Entries[0].Payload = make([]byte, MaxMigrateWireSize()+1)
+	in.Items[0].Payload = make([]byte, MaxMigrateWireSize()+1)
 	_, err := EncodeMigrateTransfer(in)
 	var sizeErr *MigrateSizeError
 	if !errors.As(err, &sizeErr) {

@@ -452,6 +452,18 @@ func (p SummaryPush) Validate() error {
 	return nil
 }
 
+// DecodeSummaryPush decodes and validates a SummaryPush payload.
+func DecodeSummaryPush(payload []byte) (*SummaryPush, error) {
+	p := new(SummaryPush)
+	if err := DecodeJSON(payload, p); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // ControlOp enumerates control commands.
 type ControlOp string
 
