@@ -2,258 +2,134 @@ package main
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"f2c/internal/aggregate"
-	"f2c/internal/cloud"
 	"f2c/internal/config"
 	"f2c/internal/core"
-	"f2c/internal/cq"
-	"f2c/internal/fognode"
 	"f2c/internal/metrics"
-	"f2c/internal/sched"
-	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport/tcpnet"
-	"f2c/internal/wal"
 )
 
-// liveOptions configures the hosted live city.
-type liveOptions struct {
-	city          string
-	districts     int
-	sections      int
-	codec         aggregate.Codec
-	dedup         bool
-	flush1        time.Duration
-	flush2        time.Duration
-	listenHost    string
-	dataDir       string // non-empty: every node journals under dataDir/<id>
-	segmentStore  bool   // tiered segment engine under dataDir/<id>/store
-	memtableBytes int64  // segment memtable cap (0 = engine default)
-	clusterOut    string
-	overload      bool              // admission scheduler on every handler path
-	ingestRate    int64             // ingest-class token-bucket rate, bytes/sec
-	maxPending    int               // per-type upward buffer bound (0 = unbounded)
-	degrade       bool              // degrade-to-summary on buffer trims
-	adaptive      bool              // RTT-driven flush batch/interval tuning
-	subs          []cq.Subscription // standing continuous queries registered on every fog1 node
+// liveCity is a whole deployment hosted in this process, every node
+// behind its own tcpnet server on a loopback port.
+type liveCity struct {
+	members []liveMember
+	addrs   map[string]string
 }
 
-// sched returns the admission-scheduler options for the live city's
-// nodes (nil when overload control is off).
-func (o liveOptions) sched() *sched.Options {
-	if !o.overload {
-		return nil
-	}
-	so := config.OverloadOptions(o.ingestRate)
-	return &so
-}
-
-// adaptiveCfg returns the flush-controller config for the live city's
-// fog nodes (nil keeps the fixed cadence).
-func (o liveOptions) adaptiveCfg() *fognode.AdaptiveConfig {
-	if !o.adaptive {
-		return nil
-	}
-	return &fognode.AdaptiveConfig{}
-}
-
-// durability maps a live node id into its WAL directory (nil when the
-// city is in-memory).
-func (o liveOptions) durability(id string) *wal.Config {
-	if o.dataDir == "" {
-		return nil
-	}
-	return &wal.Config{Dir: filepath.Join(o.dataDir, id)}
-}
-
-// storage maps a live node id into its segment-store directory beside
-// the delivery journal (nil when the tiered store is off).
-func (o liveOptions) storage(id string) *segment.Options {
-	if !o.segmentStore || o.dataDir == "" {
-		return nil
-	}
-	return &segment.Options{
-		Dir:           filepath.Join(o.dataDir, id, "store"),
-		MemtableBytes: o.memtableBytes,
-	}
-}
-
-// liveMember is one hosted node: its tcpnet server, its client
-// transport and fognode (fog layers; nil for the cloud), and its
-// shutdown hook.
+// liveMember is one hosted node with its tcpnet server and, on the fog
+// layers, its client transport.
 type liveMember struct {
-	id    string
-	srv   *tcpnet.Server
-	tr    *tcpnet.Transport
-	fog   *fognode.Node
-	close func(context.Context) error
+	id   string
+	node core.Node
+	srv  *tcpnet.Server
+	tr   *tcpnet.Transport
 }
 
-// runLive hosts a complete hierarchy in this process with every node
-// behind its own tcpnet server on a loopback port — real sockets,
-// real frames, zero-config. It writes the resulting cluster document
-// (transport "tcp", node id -> address) so f2cload and f2cctl can
-// drive the city, then serves until SIGINT/SIGTERM. Each node gets a
-// private metrics registry and transport, exactly as a multi-process
-// deployment would, so per-node OpMetrics scrapes are meaningful.
-func runLive(o liveOptions) error {
-	districts := make([]topology.District, o.districts)
-	for i := range districts {
-		districts[i] = topology.District{Name: fmt.Sprintf("d%02d", i+1), Sections: o.sections}
-	}
-	topo, err := topology.New(o.city, districts)
+// startLive hosts the deployment's hierarchy with real sockets and
+// real frames. Every node is built the way every other host builds it
+// (the deployment's Member options), with a private metrics registry
+// and transport exactly as in a multi-process deployment, so per-node
+// OpMetrics scrapes are meaningful. Each fog node gets every other
+// node as a peer (parent, siblings, cloud — relays and federated
+// queries need them all), and fog layer-1 nodes register the
+// deployment's standing continuous queries before they serve.
+func startLive(dep config.Deployment, host string) (*liveCity, error) {
+	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	var members []*liveMember
-	addrs := make(map[string]string)
-	shutdown := func() {
-		// Reverse order: fog1 first (they flush into fog2), cloud last.
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		for i := len(members) - 1; i >= 0; i-- {
-			m := members[i]
-			_ = m.srv.Close()
-			if m.close != nil {
-				_ = m.close(ctx)
-			}
-			if m.tr != nil {
-				_ = m.tr.Close()
-			}
-		}
-	}
-
+	topo := opts.Topology
+	c := &liveCity{addrs: make(map[string]string)}
 	// The cloud first: the fog layers dial upward.
-	cloudReg := metrics.NewRegistry()
-	cloudNode, err := cloud.New(core.CloudConfig(core.CloudID, core.MemberOptions{
-		City: o.city, Clock: sim.WallClock{}, Registry: cloudReg, Codec: o.codec,
-		Durability: o.durability(core.CloudID), Storage: o.storage(core.CloudID),
-		Overload: o.sched(),
-	}))
-	if err != nil {
-		return err
-	}
-	cloudSrv, err := tcpnet.NewServer(core.CloudID, o.listenHost+":0", cloudNode, tcpnet.ServerOptions{Registry: cloudReg})
-	if err != nil {
-		return err
-	}
-	members = append(members, &liveMember{
-		id: core.CloudID, srv: cloudSrv,
-		close: func(context.Context) error { return cloudNode.Close() },
-	})
-	addrs[core.CloudID] = cloudSrv.Addr()
-
-	fog2IDs := make([]string, 0, len(topo.Fog2Nodes()))
-	for _, spec := range topo.Fog2Nodes() {
-		fog2IDs = append(fog2IDs, spec.ID)
-	}
-	fog2Siblings := func(id string) []string {
-		var sibs []string
-		for _, other := range fog2IDs {
-			if other != id {
-				sibs = append(sibs, other)
-			}
-		}
-		return sibs
-	}
-
-	buildFog := func(spec topology.NodeSpec, flush time.Duration, retention time.Duration, siblings []string) error {
+	specs := append([]topology.NodeSpec{topo.Cloud()}, topo.Fog2Nodes()...)
+	for _, spec := range append(specs, topo.Fog1Nodes()...) {
+		m := liveMember{id: spec.ID}
 		reg := metrics.NewRegistry()
-		tr := tcpnet.New(tcpnet.Options{Registry: reg})
-		node, err := fognode.New(core.FogConfig(spec, core.MemberOptions{
-			City: o.city, Clock: sim.WallClock{}, Transport: tr,
-			Retention: retention, FlushInterval: flush, Codec: o.codec,
-			Dedup: o.dedup, Quality: true, Registry: reg, Siblings: siblings,
-			Durability: o.durability(spec.ID), Storage: o.storage(spec.ID),
-			MaxPendingReadings: o.maxPending,
-			Overload:           o.sched(),
-			DegradeToSummary:   o.degrade,
-			Adaptive:           o.adaptiveCfg(),
-		}))
-		if err != nil {
-			_ = tr.Close()
-			return err
+		mo := opts.Member(spec)
+		mo.Registry = reg
+		if spec.Layer != topology.LayerCloud {
+			m.tr = tcpnet.New(tcpnet.Options{Registry: reg})
+			mo.Transport = m.tr
 		}
-		if spec.Layer == topology.LayerFog1 {
-			// Standing continuous queries land before the node serves
-			// its first batch, like f2cd's boot-time registration.
-			for _, sub := range o.subs {
-				if err := node.Subscribe(sub); err != nil {
-					_ = tr.Close()
-					return fmt.Errorf("subscribe %s on %s: %w", sub.ID, spec.ID, err)
+		if m.node, err = core.NewNode(spec, mo); err == nil && spec.Layer == topology.LayerFog1 {
+			for _, sub := range dep.StandingQueries() {
+				if err = m.node.Fog.Subscribe(sub); err != nil {
+					break
 				}
 			}
 		}
-		srv, err := tcpnet.NewServer(spec.ID, o.listenHost+":0", node, tcpnet.ServerOptions{Registry: reg})
+		if err == nil {
+			m.srv, err = tcpnet.NewServer(spec.ID, host+":0", m.node.Handler(), tcpnet.ServerOptions{Registry: reg})
+		}
+		c.members = append(c.members, m)
 		if err != nil {
-			_ = tr.Close()
-			return err
+			c.close()
+			return nil, err
 		}
-		members = append(members, &liveMember{id: spec.ID, srv: srv, tr: tr, fog: node, close: node.Close})
-		addrs[spec.ID] = srv.Addr()
-		return nil
+		c.addrs[spec.ID] = m.srv.Addr()
 	}
-
-	for _, spec := range topo.Fog2Nodes() {
-		if err := buildFog(spec, o.flush2, 24*time.Hour, fog2Siblings(spec.ID)); err != nil {
-			shutdown()
-			return err
-		}
-	}
-	for _, spec := range topo.Fog1Nodes() {
-		if err := buildFog(spec, o.flush1, time.Hour, topo.Neighbors(spec.ID)); err != nil {
-			shutdown()
-			return err
-		}
-	}
-
-	// Every address is known now: wire each fog node's peers (parent,
-	// siblings, cloud — relays and federated queries need them all)
-	// and start the background flushers.
-	for _, m := range members {
+	for _, m := range c.members {
 		if m.tr == nil {
 			continue
 		}
-		for id, addr := range addrs {
+		for id, addr := range c.addrs {
 			if id != m.id {
 				m.tr.AddPeer(id, addr)
 			}
 		}
+		m.node.Fog.Start()
 	}
-	for _, m := range members {
-		if m.fog != nil {
-			m.fog.Start()
-		}
-	}
+	return c, nil
+}
 
-	cluster := config.Cluster{Transport: config.TransportTCP, Nodes: addrs}
-	if o.clusterOut != "" {
-		if err := cluster.Save(o.clusterOut); err != nil {
-			shutdown()
-			return err
+// close shuts the city down in reverse build order: fog layer 1 first
+// (it flushes into fog layer 2), the cloud last.
+func (c *liveCity) close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	var errs []error
+	for i := len(c.members) - 1; i >= 0; i-- {
+		m := c.members[i]
+		if m.srv != nil {
+			errs = append(errs, m.srv.Close())
+		}
+		if m.node != (core.Node{}) {
+			errs = append(errs, m.node.Close(ctx))
+		}
+		if m.tr != nil {
+			errs = append(errs, m.tr.Close())
 		}
 	}
-	f1, f2, _ := topo.Counts()
-	log.Printf("live city %s ready: %d fog1 / %d fog2 / 1 cloud over tcpnet, cloud at %s",
-		o.city, f1, f2, addrs[core.CloudID])
-	if o.clusterOut != "" {
-		log.Printf("cluster document written to %s", o.clusterOut)
+	return errors.Join(errs...)
+}
+
+// runLive hosts the deployment (startLive), writes the resulting
+// cluster document (transport "tcp", node id -> address) so f2cload
+// and f2cctl can drive the city, then serves until SIGINT/SIGTERM.
+func runLive(dep config.Deployment, host, clusterOut string) error {
+	c, err := startLive(dep, host)
+	if err != nil {
+		return err
 	}
+	if clusterOut != "" {
+		cluster := config.Cluster{Transport: config.TransportTCP, Nodes: c.addrs}
+		if err := cluster.Save(clusterOut); err != nil {
+			return errors.Join(err, c.close())
+		}
+		log.Printf("cluster document written to %s", clusterOut)
+	}
+	log.Printf("live city %s ready: %d nodes over tcpnet, cloud at %s", dep.City, len(c.members), c.addrs[core.CloudID])
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	log.Printf("received %v, shutting down live city", s)
-	shutdown()
-	return nil
+	log.Printf("received %v, shutting down live city", <-sig)
+	return c.close()
 }

@@ -1,12 +1,14 @@
 // Command citysim runs a deterministic discrete-event simulation of a
-// full smart-city day over the Barcelona F2C hierarchy and prints the
-// measured traffic report:
+// full smart-city day over the F2C hierarchy a deployment document
+// describes (the paper's Barcelona deployment by default) and prints
+// the measured traffic report:
 //
-//	citysim -scale 200 -duration 24h -codec zip
+//	citysim -config city.json -scale 200 -duration 24h
 //
 // At -scale 1 every one of the 1,005,019 catalog sensors is simulated;
 // larger scales divide the population to trade fidelity for speed (the
-// byte report extrapolates back).
+// byte report extrapolates back). With -live it instead hosts the same
+// deployment over real loopback sockets for load harnesses.
 package main
 
 import (
@@ -15,10 +17,8 @@ import (
 	"os"
 	"time"
 
-	"f2c/internal/aggregate"
 	"f2c/internal/config"
 	"f2c/internal/core"
-	"f2c/internal/cq"
 	"f2c/internal/experiment"
 	"f2c/internal/metrics"
 	"f2c/internal/model"
@@ -34,29 +34,15 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("citysim", flag.ContinueOnError)
+	cfgPath := fs.String("config", "", "deployment JSON: the city and every node setting (default: the Barcelona deployment)")
+	writeCfg := fs.String("write-config", "", "write the Barcelona deployment JSON to this path and exit")
 	scale := fs.Int("scale", 200, "sensor-count divisor (1 = every sensor)")
 	duration := fs.Duration("duration", 24*time.Hour, "simulated span")
 	seed := fs.Int64("seed", 1, "workload seed")
-	codecName := fs.String("codec", "zip", "upward compression: none|flate|gzip|zip")
-	dedup := fs.Bool("dedup", true, "redundant-data elimination at fog layer 1")
-	flush1 := fs.Duration("flush1", 15*time.Minute, "fog layer-1 flush interval")
-	flush2 := fs.Duration("flush2", time.Hour, "fog layer-2 flush interval")
 	category := fs.String("category", "", "restrict to one category (energy|noise|garbage|parking|urban)")
-	cfgPath := fs.String("config", "", "deployment JSON (overrides topology/codec/flush/retention flags)")
-	writeCfg := fs.String("write-config", "", "write the Barcelona deployment JSON to this path and exit")
-	live := fs.Bool("live", false, "host the hierarchy over real loopback tcpnet sockets and serve until SIGTERM (load-harness target) instead of simulating")
-	liveDistricts := fs.Int("live-districts", 2, "districts of the live city")
-	liveSections := fs.Int("live-sections", 2, "sections per district of the live city")
+	live := fs.Bool("live", false, "host the deployment over real loopback tcpnet sockets and serve until SIGTERM (load-harness target) instead of simulating")
 	liveHost := fs.String("live-host", "127.0.0.1", "host the live city's listeners bind")
-	liveDataDir := fs.String("live-data-dir", "", "durability directory for the live city: every node journals under <dir>/<node id> and recovers on restart (empty = in-memory)")
-	liveSegments := fs.Bool("live-segment-store", false, "back the live city's temporal stores with the tiered segment engine under <live-data-dir>/<node id>/store (requires -live-data-dir)")
-	liveMemtable := fs.Int64("live-memtable-bytes", 0, "live city segment-store memtable cap in bytes (0 = engine default)")
 	clusterOut := fs.String("cluster-out", "", "write the live city's cluster JSON (node id -> address) to this path")
-	liveOverload := fs.Bool("live-overload", false, "gate every live node's handler path behind per-class weighted-fair admission scheduling")
-	liveIngestRate := fs.Int64("live-ingest-rate", 0, "token-bucket limit for the live city's ingest class, payload bytes/sec (requires -live-overload; 0 = unlimited)")
-	liveMaxPending := fs.Int("live-max-pending", 0, "per-type upward buffer bound on the live city's fog nodes (0 = unbounded)")
-	liveDegrade := fs.Bool("live-degrade", false, "fold buffer-trimmed readings into window summaries pushed upward instead of dropping them (needs -live-max-pending to bite)")
-	liveAdaptive := fs.Bool("live-adaptive-flush", false, "RTT-driven flush batch size and interval tuning on the live city's fog nodes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,53 +53,15 @@ func run(args []string) error {
 		fmt.Printf("wrote Barcelona deployment to %s\n", *writeCfg)
 		return nil
 	}
-	var codec aggregate.Codec
-	for _, c := range []aggregate.Codec{aggregate.CodecNone, aggregate.CodecFlate, aggregate.CodecGzip, aggregate.CodecZip} {
-		if c.String() == *codecName {
-			codec = c
+	dep := config.Barcelona()
+	if *cfgPath != "" {
+		var err error
+		if dep, err = config.Load(*cfgPath); err != nil {
+			return err
 		}
-	}
-	if codec == 0 {
-		return fmt.Errorf("unknown codec %q", *codecName)
 	}
 	if *live {
-		if *liveSegments && *liveDataDir == "" {
-			return fmt.Errorf("-live-segment-store requires -live-data-dir")
-		}
-		if *liveIngestRate > 0 && !*liveOverload {
-			return fmt.Errorf("-live-ingest-rate requires -live-overload")
-		}
-		// A deployment document supplies the live city's standing
-		// continuous queries; its topology flags stay with the
-		// -live-districts/-live-sections pair.
-		var subs []cq.Subscription
-		if *cfgPath != "" {
-			dep, err := config.Load(*cfgPath)
-			if err != nil {
-				return err
-			}
-			subs = dep.StandingQueries()
-		}
-		return runLive(liveOptions{
-			city:          "Barcelona",
-			districts:     *liveDistricts,
-			sections:      *liveSections,
-			codec:         codec,
-			dedup:         *dedup,
-			flush1:        *flush1,
-			flush2:        *flush2,
-			listenHost:    *liveHost,
-			dataDir:       *liveDataDir,
-			segmentStore:  *liveSegments,
-			memtableBytes: *liveMemtable,
-			clusterOut:    *clusterOut,
-			overload:      *liveOverload,
-			ingestRate:    *liveIngestRate,
-			maxPending:    *liveMaxPending,
-			degrade:       *liveDegrade,
-			adaptive:      *liveAdaptive,
-			subs:          subs,
-		})
+		return runLive(dep, *liveHost, *clusterOut)
 	}
 	var types []model.SensorType
 	if *category != "" {
@@ -125,28 +73,11 @@ func run(args []string) error {
 	}
 
 	start := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
-	clock := sim.NewVirtualClock(start)
+	opts, err := dep.Options(sim.NewVirtualClock(start))
+	if err != nil {
+		return err
+	}
 	matrix := metrics.NewTrafficMatrix()
-	opts := core.Options{
-		Clock:             clock,
-		Dedup:             *dedup,
-		Quality:           true,
-		Codec:             codec,
-		Fog1FlushInterval: *flush1,
-		Fog2FlushInterval: *flush2,
-	}
-	var dep config.Deployment
-	if *cfgPath != "" {
-		var err error
-		dep, err = config.Load(*cfgPath)
-		if err != nil {
-			return err
-		}
-		opts, err = dep.Options(clock)
-		if err != nil {
-			return err
-		}
-	}
 	opts.Matrix = matrix
 	sys, err := core.NewSystem(opts)
 	if err != nil {

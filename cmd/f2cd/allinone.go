@@ -2,17 +2,17 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
 
-	"f2c/internal/config"
 	"f2c/internal/core"
-	"f2c/internal/sim"
+	"f2c/internal/cq"
 	"f2c/internal/transport"
 )
 
-// runAllInOne hosts the entire hierarchy inside one process: every
+// runAllInOne hosts the entire deployment inside one process: every
 // fog node over the in-process simulated network, the cloud, and a
 // single HTTP endpoint. Messages are routed by the X-F2C-To header,
 // so f2cload and f2cctl work unchanged against any node, and the
@@ -23,43 +23,7 @@ import (
 //	f2cload -node http://localhost:8080 -node-id fog1/d01-s01 ...
 //	f2cctl  -node http://localhost:8080 status   # routes to the cloud
 //	curl http://localhost:8080/opendata/v1/categories
-func runAllInOne(cfgPath, listen, dataDir string, segmentStore bool, memtableBytes int64, elastic bool, virtualNodes int) error {
-	dep := config.Barcelona()
-	if cfgPath != "" {
-		var err error
-		dep, err = config.Load(cfgPath)
-		if err != nil {
-			return err
-		}
-	}
-	opts, err := dep.Options(sim.WallClock{})
-	if err != nil {
-		return err
-	}
-	if dataDir != "" {
-		// -data-dir overrides the deployment document: every node in
-		// the hosted hierarchy journals under dataDir/<node id>.
-		opts.DataDir = dataDir
-	}
-	if segmentStore {
-		// -segment-store overrides likewise: every node's temporal
-		// store becomes the tiered segment engine.
-		if opts.DataDir == "" {
-			return fmt.Errorf("-segment-store requires -data-dir (or dataDir in the deployment document)")
-		}
-		opts.SegmentStorage = true
-	}
-	if memtableBytes > 0 {
-		opts.MemtableBytes = memtableBytes
-	}
-	if elastic {
-		// -elastic overrides the document: ingest routes through the
-		// ownership rings and the hosted fog layer 1 can scale live.
-		opts.ElasticOwnership = true
-	}
-	if virtualNodes > 0 {
-		opts.VirtualNodes = virtualNodes
-	}
+func runAllInOne(opts core.Options, subs []cq.Subscription, listen string) error {
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		return err
@@ -68,23 +32,27 @@ func runAllInOne(cfgPath, listen, dataDir string, segmentStore bool, memtableByt
 	// before traffic does: the subscription router places each on its
 	// owning tier (ring owner under elastic ownership, every section
 	// otherwise).
-	for _, sub := range dep.StandingQueries() {
+	for _, sub := range subs {
 		if err := sys.Subscribe(sub); err != nil {
-			return fmt.Errorf("subscribe %s: %w", sub.ID, err)
+			return errors.Join(fmt.Errorf("subscribe %s: %w", sub.ID, err), sys.Close(context.Background()))
 		}
 	}
-	if n := len(dep.Subscriptions); n > 0 {
-		log.Printf("registered %d standing subscription(s)", n)
+	if len(subs) > 0 {
+		log.Printf("registered %d standing subscription(s)", len(subs))
 	}
 	sys.Start()
 
 	mux := http.NewServeMux()
 	mux.Handle(transport.MessagePath, allInOneRouter{sys: sys})
 	mux.Handle("/opendata/", sys.Cloud().OpenDataHandler())
-
+	srv, err := listenHTTP(listen, mux)
+	if err != nil {
+		return errors.Join(err, shutdown(sys.Close))
+	}
 	f1, f2, _ := sys.Topology().Counts()
 	log.Printf("all-in-one %s (%d fog1 / %d fog2 / 1 cloud) listening on %s", opts.City, f1, f2, listen)
-	return serve(listen, mux, sys.Close)
+	waitSignal()
+	return shutdown(srv.Shutdown, sys.Close)
 }
 
 // allInOneRouter dispatches /f2c/v1/message requests to the addressed

@@ -1,16 +1,22 @@
 // Command f2cd runs one F2C node as a network daemon, allowing a real
-// multi-process hierarchy to be assembled on any set of hosts:
+// multi-process hierarchy to be assembled on any set of hosts. Every
+// process reads the same deployment document (see internal/config;
+// the Barcelona deployment when -config is omitted) and hosts the
+// node -id names in it. The document fixes the node's layer, parent,
+// siblings, flush period, retention, durability and overload policy;
+// the flags say only where the process listens and how it reaches its
+// parent:
 //
 //	# cloud layer (also serves the open-data API)
-//	f2cd -id cloud -layer cloud -listen :8080
+//	f2cd -config city.json -id cloud -listen :8080
 //
 //	# a district (fog layer 2) node reporting to the cloud
-//	f2cd -id fog2/d01 -layer fog2 -parent cloud \
+//	f2cd -config city.json -id fog2/d01 \
 //	     -parent-url http://localhost:8080 -listen :8081
 //
 //	# a section (fog layer 1) node reporting to the district
-//	f2cd -id fog1/d01-s01 -layer fog1 -parent fog2/d01 \
-//	     -parent-url http://localhost:8081 -listen :8082 -flush 30s
+//	f2cd -config city.json -id fog1/d01-s01 \
+//	     -parent-url http://localhost:8081 -listen :8082
 //
 // Sensors POST batch envelopes to /f2c/v1/message; f2cctl inspects
 // and controls running nodes.
@@ -21,11 +27,11 @@
 // JSON document (see internal/config.Cluster) wires every peer at
 // once:
 //
-//	f2cd -id cloud -layer cloud -transport tcp -listen :9000
-//	f2cd -id fog2/d01 -layer fog2 -transport tcp -parent cloud \
+//	f2cd -config city.json -id cloud -transport tcp -listen :9000
+//	f2cd -config city.json -id fog2/d01 -transport tcp \
 //	     -parent-addr localhost:9000 -listen :9001
-//	f2cd -id fog1/d01-s01 -layer fog1 -transport tcp -parent fog2/d01 \
-//	     -parent-addr localhost:9001 -listen :9002 -flush 30s
+//	f2cd -config city.json -id fog1/d01-s01 -transport tcp \
+//	     -parent-addr localhost:9001 -listen :9002
 package main
 
 import (
@@ -33,27 +39,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"f2c/internal/aggregate"
-	"f2c/internal/cloud"
 	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/cq"
-	"f2c/internal/fognode"
-	"f2c/internal/model"
-	"f2c/internal/sched"
-	"f2c/internal/segment"
+	"f2c/internal/metrics"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
-	"f2c/internal/wal"
+	"f2c/internal/transport/tcpnet"
 )
 
 func main() {
@@ -65,253 +67,209 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2cd", flag.ContinueOnError)
-	id := fs.String("id", "", "node id (e.g. fog1/d01-s01 or cloud)")
-	layer := fs.String("layer", "", "node layer: fog1|fog2|cloud")
-	parent := fs.String("parent", "", "parent node id (fog layers)")
+	cfgPath := fs.String("config", "", "deployment JSON: the city and every node setting (default: the Barcelona deployment)")
+	id := fs.String("id", "", "node id in the deployment's topology (e.g. fog1/d01-s01, fog2/d01 or cloud)")
+	listen := fs.String("listen", ":8080", "listen address")
+	transportName := fs.String("transport", config.TransportHTTP, "wire protocol: http|tcp (tcp is the persistent-connection framed transport)")
 	parentURL := fs.String("parent-url", "", "parent base URL (fog layers, http transport)")
 	parentAddr := fs.String("parent-addr", "", "parent host:port (fog layers, tcp transport)")
-	transportName := fs.String("transport", "http", "wire protocol: http|tcp (tcp is the persistent-connection framed transport)")
-	clusterPath := fs.String("cluster", "", "cluster JSON mapping node ids to addresses (tcp transport; wires parent and sibling peers)")
-	listen := fs.String("listen", ":8080", "listen address")
+	clusterPath := fs.String("cluster", "", "cluster JSON mapping node ids to addresses for -transport (fog layers; wires parent and sibling peers)")
 	opendataListen := fs.String("opendata-listen", "", "HTTP address for the cloud's open-data API when the message plane runs over tcp (empty = no open-data endpoint)")
-	city := fs.String("city", "Barcelona", "city name for description tags")
-	codecName := fs.String("codec", "zip", "upward compression: none|flate|gzip|zip")
-	flush := fs.Duration("flush", time.Minute, "upward flush interval")
-	retention := fs.Duration("retention", time.Hour, "temporal store retention (fog layers)")
-	dedup := fs.Bool("dedup", true, "redundant-data elimination (fog1)")
-	qual := fs.Bool("quality", true, "data-quality phase (fog1)")
-	dataDir := fs.String("data-dir", "", "durability directory: the node journals its state to a WAL with snapshots under <data-dir>/<id> and recovers it on restart (empty = in-memory)")
-	segmentStore := fs.Bool("segment-store", false, "back the temporal store with the tiered segment engine under <data-dir>/<id>/store (history in mmap'd segment files, RAM bounded by the memtable cap; requires -data-dir)")
-	memtableBytes := fs.Int64("memtable-bytes", 0, "segment-store memtable cap in bytes before a flush to disk (0 = engine default)")
-	overload := fs.Bool("overload", false, "gate the handler path behind per-class weighted-fair admission scheduling")
-	ingestRate := fs.Int64("ingest-rate", 0, "token-bucket limit for the ingest class in payload bytes/sec (requires -overload; 0 = unlimited)")
-	maxPending := fs.Int("max-pending", 0, "per-type upward buffer bound in readings during parent outages (fog layers; 0 = unbounded)")
-	degrade := fs.Bool("degrade-to-summary", false, "fold buffer-trimmed readings into window summaries pushed upward instead of dropping them (fog layers; needs -max-pending to bite)")
-	degradeWindow := fs.Duration("degrade-window", 0, "degraded-summary window width (0 = fognode default, 1m)")
-	adaptiveFlush := fs.Bool("adaptive-flush", false, "RTT-driven flush batch size and interval tuning (fog layers)")
-	cloudRetention := fs.Duration("cloud-retention", 0, "cloud archive retention window (cloud layer; 0 = keep forever)")
-	allInOne := fs.Bool("all-in-one", false, "run the whole hierarchy in this process (demo mode)")
-	cfgPath := fs.String("config", "", "deployment JSON: full city for -all-in-one (default: Barcelona); a fog1 daemon reads only its standing subscriptions from it")
-	elastic := fs.Bool("elastic", false, "all-in-one: route edge ingest through per-district consistent-hash ownership rings and allow runtime fog1 scale with live shard migration")
-	virtualNodes := fs.Int("virtual-nodes", 0, "ownership-ring virtual nodes per weight unit (requires -elastic; 0 = engine default)")
+	allInOne := fs.Bool("all-in-one", false, "run the whole deployment in this process (demo mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *virtualNodes < 0 {
-		return errors.New("-virtual-nodes must be >= 0")
+	dep := config.Barcelona()
+	if *cfgPath != "" {
+		var err error
+		if dep, err = config.Load(*cfgPath); err != nil {
+			return err
+		}
 	}
-	if *virtualNodes > 0 && !*elastic {
-		return errors.New("-virtual-nodes requires -elastic")
+	opts, err := dep.Options(sim.WallClock{})
+	if err != nil {
+		return err
 	}
 	if *allInOne {
-		return runAllInOne(*cfgPath, *listen, *dataDir, *segmentStore, *memtableBytes, *elastic, *virtualNodes)
-	}
-	if *elastic {
-		return errors.New("-elastic applies to -all-in-one (single-node daemons scale through their system host)")
+		return runAllInOne(opts, dep.StandingQueries(), *listen)
 	}
 	if *id == "" {
 		return errors.New("-id is required")
 	}
-	if *segmentStore && *dataDir == "" {
-		return errors.New("-segment-store requires -data-dir")
+	spec, ok := opts.Topology.Node(*id)
+	if !ok {
+		return fmt.Errorf("node %q is not in the %s deployment", *id, dep.City)
 	}
-	if *ingestRate < 0 {
-		return errors.New("-ingest-rate must be >= 0")
-	}
-	if *ingestRate > 0 && !*overload {
-		return errors.New("-ingest-rate requires -overload")
-	}
-	var schedOpts *sched.Options
-	if *overload {
-		so := config.OverloadOptions(*ingestRate)
-		schedOpts = &so
-	}
-	var adaptive *fognode.AdaptiveConfig
-	if *adaptiveFlush {
-		adaptive = &fognode.AdaptiveConfig{}
-	}
+	var tcp bool
 	switch *transportName {
-	case config.TransportHTTP, config.TransportTCP:
+	case config.TransportHTTP:
+	case config.TransportTCP:
+		tcp = true
 	default:
 		return fmt.Errorf("unknown transport %q (want http|tcp)", *transportName)
 	}
-	tcp := *transportName == config.TransportTCP
-	var cluster *config.Cluster
-	if *clusterPath != "" {
-		c, err := config.LoadCluster(*clusterPath)
-		if err != nil {
+
+	reg := metrics.NewRegistry()
+	var up uplink
+	if spec.Layer != topology.LayerCloud {
+		parent := *parentURL
+		if tcp {
+			parent = *parentAddr
+		}
+		if up, err = dialParent(spec, tcp, reg, parent, *clusterPath); err != nil {
 			return err
 		}
-		cluster = &c
-	}
-
-	switch *layer {
-	case "cloud":
-		mo := core.MemberOptions{
-			City:           *city,
-			Clock:          sim.WallClock{},
-			Durability:     durabilityFor(*dataDir, *id),
-			Storage:        storageFor(*dataDir, *id, *segmentStore, *memtableBytes),
-			Overload:       schedOpts,
-			CloudRetention: *cloudRetention,
-		}
-		if tcp {
-			return runCloudTCP(*id, *listen, *opendataListen, mo)
-		}
-		return runCloud(*id, *listen, mo)
-	case "fog1", "fog2":
-		codec, err := parseCodec(*codecName)
-		if err != nil {
-			return err
-		}
-		if *parent == "" {
-			return errors.New("fog layers need -parent")
-		}
-		l := topology.LayerFog1
-		if *layer == "fog2" {
-			l = topology.LayerFog2
-		}
-		spec := topology.NodeSpec{ID: *id, Layer: l, Parent: *parent, Name: *id}
-		// A deployment document given to a single fog layer-1 daemon
-		// seeds its standing continuous queries at boot (the rest of
-		// the document describes the whole city and stays with
-		// -all-in-one).
-		var subs []cq.Subscription
-		if *cfgPath != "" && l == topology.LayerFog1 {
-			dep, err := config.Load(*cfgPath)
-			if err != nil {
-				return err
-			}
-			subs = dep.StandingQueries()
-		}
-		opts := core.MemberOptions{
-			City:               *city,
-			Clock:              sim.WallClock{},
-			Retention:          *retention,
-			FlushInterval:      *flush,
-			Codec:              codec,
-			Dedup:              *dedup,
-			Quality:            *qual,
-			Durability:         durabilityFor(*dataDir, *id),
-			Storage:            storageFor(*dataDir, *id, *segmentStore, *memtableBytes),
-			Overload:           schedOpts,
-			MaxPendingReadings: *maxPending,
-			DegradeToSummary:   *degrade,
-			DegradeWindow:      *degradeWindow,
-			Adaptive:           adaptive,
-		}
-		if tcp {
-			return runFogTCP(spec, opts, *parentAddr, *listen, cluster, subs)
-		}
-		if *parentURL == "" {
-			return errors.New("http transport needs -parent-url")
-		}
-		return runFog(core.FogConfig(spec, opts), *parentURL, *listen, subs)
-	default:
-		return fmt.Errorf("unknown layer %q (want fog1|fog2|cloud)", *layer)
-	}
-}
-
-func parseCodec(s string) (aggregate.Codec, error) {
-	for _, c := range []aggregate.Codec{aggregate.CodecNone, aggregate.CodecFlate, aggregate.CodecGzip, aggregate.CodecZip} {
-		if c.String() == s {
-			return c, nil
+		if c, ok := up.(io.Closer); ok {
+			defer c.Close()
 		}
 	}
-	return 0, fmt.Errorf("unknown codec %q", s)
-}
-
-// durabilityFor maps a node id into its WAL directory under dataDir
-// (nil when durability is off).
-func durabilityFor(dataDir, id string) *wal.Config {
-	if dataDir == "" {
-		return nil
-	}
-	return &wal.Config{Dir: filepath.Join(dataDir, id)}
-}
-
-// storageFor maps a node id into its segment-store directory under
-// dataDir, beside the delivery journal (nil when the tiered store is
-// off).
-func storageFor(dataDir, id string, enabled bool, memtableBytes int64) *segment.Options {
-	if !enabled || dataDir == "" {
-		return nil
-	}
-	return &segment.Options{
-		Dir:           filepath.Join(dataDir, id, "store"),
-		MemtableBytes: memtableBytes,
-	}
-}
-
-func runCloud(id, listen string, mo core.MemberOptions) error {
-	node, err := cloud.New(core.CloudConfig(id, mo))
+	n, err := buildNode(opts, spec, up, reg, dep.StandingQueries())
 	if err != nil {
 		return err
 	}
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(id, node))
-	mux.Handle("/opendata/", node.OpenDataHandler())
-	log.Printf("cloud node %s listening on %s (message + open-data API)", id, listen)
-	// A durable cloud checkpoints and closes its journal on shutdown.
-	return serve(listen, mux, func(context.Context) error { return node.Close() })
+	if n.Fog != nil {
+		n.Fog.Start()
+	}
+	return serveNode(spec, n, tcp, *listen, *opendataListen, reg)
 }
 
-func runFog(cfg fognode.Config, parentURL, listen string, subs []cq.Subscription) error {
-	tr := transport.NewHTTPTransport(30 * time.Second)
-	tr.AddPeer(cfg.Spec.Parent, parentURL)
-	cfg.Transport = tr
-	node, err := fognode.New(cfg)
-	if err != nil {
-		return err
-	}
-	if err := bootSubscriptions(node, subs); err != nil {
-		return err
-	}
-	node.Start()
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(cfg.Spec.ID, node))
-	log.Printf("%s node %s listening on %s, parent %s at %s",
-		cfg.Spec.Layer, cfg.Spec.ID, listen, cfg.Spec.Parent, parentURL)
-	_ = model.Catalog() // keep the catalog linked for -h docs
-	return serve(listen, mux, node.Close)
+// uplink is a fog daemon's client transport: HTTP or tcpnet.
+type uplink interface {
+	transport.Transport
+	AddPeer(name, addr string)
 }
 
-// bootSubscriptions registers a daemon's standing continuous queries
-// before it starts serving, so the first ingested batch is already
-// evaluated. On a durable node each registration is journaled and
-// survives restarts on its own; re-registering at the next boot is an
-// idempotent no-op.
-func bootSubscriptions(node *fognode.Node, subs []cq.Subscription) error {
+// dialParent builds a fog node's client transport. The parent's
+// address comes from the -parent-url/-parent-addr flag or the cluster
+// document; with a cluster, every listed node becomes a dialable peer,
+// so sibling relays and federated queries work across the deployment.
+func dialParent(spec topology.NodeSpec, tcp bool, reg *metrics.Registry, parent, clusterPath string) (uplink, error) {
+	want, flagName := config.TransportHTTP, "-parent-url"
+	if tcp {
+		want, flagName = config.TransportTCP, "-parent-addr"
+	}
+	var peers map[string]string
+	if clusterPath != "" {
+		cluster, err := config.LoadCluster(clusterPath)
+		if err != nil {
+			return nil, err
+		}
+		if cluster.Transport != want {
+			return nil, fmt.Errorf("cluster %s is for transport %s, not %s", clusterPath, cluster.Transport, want)
+		}
+		peers = cluster.Nodes
+	}
+	if parent == "" {
+		parent = peers[spec.Parent]
+	}
+	if parent == "" {
+		return nil, fmt.Errorf("%s transport needs %s or a -cluster listing parent %s", want, flagName, spec.Parent)
+	}
+	var up uplink = transport.NewHTTPTransport(30 * time.Second)
+	if tcp {
+		up = tcpnet.New(tcpnet.Options{Registry: reg})
+	}
+	for id, addr := range peers {
+		up.AddPeer(id, addr)
+	}
+	up.AddPeer(spec.Parent, parent)
+	return up, nil
+}
+
+// buildNode builds the daemon's node exactly as every other host
+// builds it — the deployment's Member options for spec — with only the
+// upward transport and metrics registry supplied here. A fog layer-1
+// node registers the deployment's standing continuous queries before
+// it serves, so the first ingested batch is already evaluated; on a
+// durable node each registration is journaled, and re-registering at
+// the next boot is an idempotent no-op.
+func buildNode(opts core.Options, spec topology.NodeSpec, up transport.Transport, reg *metrics.Registry, subs []cq.Subscription) (core.Node, error) {
+	mo := opts.Member(spec)
+	mo.Transport, mo.Registry = up, reg
+	n, err := core.NewNode(spec, mo)
+	if err != nil || spec.Layer != topology.LayerFog1 {
+		return n, err
+	}
 	for _, sub := range subs {
-		if err := node.Subscribe(sub); err != nil {
-			return fmt.Errorf("subscribe %s: %w", sub.ID, err)
+		if err := n.Fog.Subscribe(sub); err != nil {
+			_ = n.Fog.Close(context.Background())
+			return core.Node{}, fmt.Errorf("subscribe %s: %w", sub.ID, err)
 		}
 	}
 	if len(subs) > 0 {
 		log.Printf("registered %d standing subscription(s)", len(subs))
 	}
-	return nil
+	return n, nil
 }
 
-// serve runs the HTTP server until SIGINT/SIGTERM, then shuts the
-// node down gracefully (final flush included).
-func serve(listen string, handler http.Handler, closeNode func(context.Context) error) error {
-	srv := &http.Server{Addr: listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		log.Printf("received %v, shutting down", s)
+// serveNode serves the node's message plane over the chosen transport
+// until SIGINT/SIGTERM, then shuts it down gracefully (final flush
+// included). The cloud's open-data API rides the HTTP message
+// listener, or its own -opendata-listen listener under tcp (it is a
+// public REST surface, not node-to-node traffic).
+func serveNode(spec topology.NodeSpec, n core.Node, tcp bool, listen, opendataListen string, reg *metrics.Registry) error {
+	var stops []func(context.Context) error
+	mux := http.NewServeMux()
+	web := listen
+	if tcp {
+		srv, err := tcpnet.NewServer(spec.ID, listen, n.Handler(), tcpnet.ServerOptions{Registry: reg})
+		if err != nil {
+			return errors.Join(err, shutdown(n.Close))
+		}
+		stops = append(stops, func(context.Context) error { return srv.Close() })
+		listen, web = srv.Addr(), ""
+		if n.Cloud != nil {
+			web = opendataListen
+		}
+	} else {
+		mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, n.Handler()))
 	}
+	if n.Cloud != nil {
+		mux.Handle("/opendata/", n.Cloud.OpenDataHandler())
+	}
+	if web != "" {
+		srv, err := listenHTTP(web, mux)
+		if err != nil {
+			return errors.Join(err, shutdown(append(stops, n.Close)...))
+		}
+		stops = append(stops, srv.Shutdown)
+	}
+	log.Printf("%s node %s listening on %s", spec.Layer, spec.ID, listen)
+	waitSignal()
+	return shutdown(append(stops, n.Close)...)
+}
+
+// listenHTTP binds addr and serves h on it in the background.
+func listenHTTP(addr string, h http.Handler) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Printf("http listener %s: %v", addr, err)
+		}
+	}()
+	return srv, nil
+}
+
+// shutdown runs each stop in order under one 15 s deadline and joins
+// their errors.
+func shutdown(stops ...func(context.Context) error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
+	var errs []error
+	for _, stop := range stops {
+		errs = append(errs, stop(ctx))
 	}
-	return closeNode(ctx)
+	return errors.Join(errs...)
+}
+
+// waitSignal blocks until SIGINT/SIGTERM.
+func waitSignal() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	s := <-sig
+	log.Printf("received %v, shutting down", s)
 }

@@ -2,11 +2,16 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
@@ -15,14 +20,26 @@ import (
 	"f2c/internal/transport"
 )
 
+// writeDeployment writes a deployment document to a temp file.
+func writeDeployment(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "city.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestArgValidation(t *testing.T) {
+	lzma := writeDeployment(t, `{"city":"x","codec":"lzma","districts":[{"name":"a","sections":1}]}`)
 	cases := [][]string{
-		{},                             // missing id
-		{"-id", "x"},                   // missing layer
-		{"-id", "x", "-layer", "warp"}, // unknown layer
-		{"-id", "x", "-layer", "fog1"}, // missing parent
-		{"-id", "x", "-layer", "fog1", "-parent", "p"}, // missing parent-url
-		{"-id", "x", "-layer", "fog1", "-parent", "p", "-parent-url", "http://x", "-codec", "lzma"},
+		{},                   // missing id
+		{"-id", "fog1/nope"}, // not in the (default Barcelona) topology
+		{"-config", filepath.Join(t.TempDir(), "missing.json"), "-id", "cloud"}, // missing document
+		{"-config", lzma, "-id", "cloud"},                                       // unknown codec in the document
+		{"-id", "fog1/d01-s01"},                                                 // http fog node without -parent-url
+		{"-id", "fog1/d01-s01", "-transport", "tcp"},                            // tcp fog node without -parent-addr
+		{"-id", "cloud", "-transport", "warp"},                                  // unknown transport
 		{"-bogus"},
 	}
 	for i, args := range cases {
@@ -32,15 +49,129 @@ func TestArgValidation(t *testing.T) {
 	}
 }
 
+// TestParseCodec pins that the document's codec name is what the
+// daemon's node seals and stores with, and that an unknown name is
+// refused before any node is built.
 func TestParseCodec(t *testing.T) {
 	for _, name := range []string{"none", "flate", "gzip", "zip"} {
-		if _, err := parseCodec(name); err != nil {
-			t.Errorf("parseCodec(%s): %v", name, err)
+		dep, err := config.Parse([]byte(`{"city":"x","districts":[{"name":"a","sections":1}],"codec":"` + name + `"}`))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		opts, err := dep.Options(sim.WallClock{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := opts.Topology.Node("fog1/d01-s01")
+		n, err := buildNode(opts, spec, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Fog.Config().Codec.String(); got != name {
+			t.Errorf("codec %s: node runs %s", name, got)
+		}
+		_ = n.Close(context.Background())
+	}
+	if _, err := config.Parse([]byte(`{"city":"x","districts":[{"name":"a","sections":1}],"codec":"brotli"}`)); err == nil {
+		t.Error("unknown codec must fail")
+	}
+}
+
+// hostDeployment sets every per-node knob the document has to a value
+// that differs from the defaults, so a host that drops or re-derives
+// one shows up in TestNodeMatchesSystem.
+const hostDeployment = `{
+	"city": "Host",
+	"districts": [{"name": "a", "sections": 2}, {"name": "b", "sections": 2}],
+	"codec": "gzip",
+	"dedup": true,
+	"quality": true,
+	"fog1FlushSeconds": 7,
+	"fog2FlushSeconds": 11,
+	"fog1RetentionSeconds": 600,
+	"fog2RetentionSeconds": 7200,
+	"cloudRetentionSeconds": 86400,
+	"nodeRetentionSeconds": {"fog1/d01-s02": 60},
+	"dataDir": "%s",
+	"segmentStorage": true,
+	"memtableBytes": 65536,
+	"overload": true,
+	"ingestRateBytes": 100000,
+	"maxPendingReadings": 50,
+	"degradeToSummary": true,
+	"degradeWindowSeconds": 30,
+	"adaptiveFlush": true
+}`
+
+// TestNodeMatchesSystem pins one derivation for every host: the node
+// a single f2cd process builds for an id is configured exactly like
+// the one core.NewSystem builds for the same document — retention by
+// layer, segment codec, siblings, durability and overload policy —
+// apart from the transport and registry the host supplies.
+func TestNodeMatchesSystem(t *testing.T) {
+	dep, err := config.Parse([]byte(fmt.Sprintf(hostDeployment, t.TempDir())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := dep.Options(sim.WallClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"cloud", "fog2/d01", "fog1/d01-s01", "fog1/d01-s02"}
+	want := make(map[string]any)
+	for _, id := range ids {
+		want[id] = systemConfig(t, sys, id)
+	}
+	if err := sys.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		spec, _ := opts.Topology.Node(id)
+		n, err := buildNode(opts, spec, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := nodeConfig(n)
+		if err := n.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[id]) {
+			t.Errorf("%s: f2cd builds\n%+v\ncore.NewSystem builds\n%+v", id, got, want[id])
 		}
 	}
-	if _, err := parseCodec(""); err == nil {
-		t.Error("empty codec must fail")
+}
+
+// systemConfig returns the configuration core.NewSystem gave a node.
+func systemConfig(t *testing.T, sys *core.System, id string) any {
+	t.Helper()
+	if id == core.CloudID {
+		return nodeConfig(core.Node{Cloud: sys.Cloud()})
 	}
+	n, ok := sys.Fog1(id)
+	if !ok {
+		n, ok = sys.Fog2(id)
+	}
+	if !ok {
+		t.Fatalf("system has no node %s", id)
+	}
+	return nodeConfig(core.Node{Fog: n})
+}
+
+// nodeConfig returns a node's configuration without the host-supplied
+// transport and registry.
+func nodeConfig(n core.Node) any {
+	if n.Cloud != nil {
+		c := n.Cloud.Config()
+		c.Registry = nil
+		return c
+	}
+	c := n.Fog.Config()
+	c.Transport, c.Registry = nil, nil
+	return c
 }
 
 func TestAllInOneRouter(t *testing.T) {

@@ -89,7 +89,8 @@
 // snapshots rotate atomically, and recovery ordering is snapshot,
 // then log tail, then the queues. Enable per node (fognode/cloud
 // Config.Durability), per system (core.Options.DataDir, one journal
-// directory per node id), or with f2cd -data-dir; core.System.Reboot
+// directory per node id), or with "dataDir" in the deployment
+// document; core.System.Reboot
 // simulates a process restart, and the chaos crash-recovery scenario
 // asserts zero loss through crashes at every tier (see README
 // "Durability & recovery"; BenchmarkIngestWAL records the overhead in
@@ -107,8 +108,8 @@
 // watermark, exactly once. Query paging cursors are positions in the
 // canonical reading order, not physical pointers, so a page walk
 // straddling a flush or compaction never loses or repeats a reading.
-// Enable with core.Options.SegmentStorage / f2cd -segment-store /
-// "segmentStorage" in the deployment document (requires a data dir),
+// Enable with core.Options.SegmentStorage / "segmentStorage" in the
+// deployment document (requires a data dir),
 // or per node via fognode/cloud Config.Storage; see README "Tiered
 // storage" (benchmarks in BENCH_PR7.json, including the steady-state
 // RSS bound).
@@ -190,6 +191,15 @@
 //	sys.IngestAt("fog1/d01-s01", batch) // acquisition at the edge
 //	sys.FlushAll(ctx)                   // periodic upward movement
 //	sys.Cloud().Historical("traffic", from, to)
+//
+// Commands: cmd/citysim simulates a city day (or, with -live, hosts
+// the city over loopback tcpnet), cmd/f2cd runs one node per process
+// (or the whole city with -all-in-one), cmd/f2cload drives load and
+// cmd/f2cctl inspects running nodes. citysim and f2cd read one JSON
+// deployment document (-config; schema in the config.Deployment field
+// comments, the Barcelona deployment by default) and derive every
+// node from it through core.Options.Member, so their flags only pick
+// the node (-id) and where it listens and finds its parent.
 //
 // See examples/ for runnable programs and cmd/f2cbench for the
 // harnesses that regenerate the paper's Table I and Fig. 7.

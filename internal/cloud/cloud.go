@@ -298,6 +298,10 @@ func (n *Node) DuplicateBatches() int64 { return n.dupBatches.Value() }
 // ID returns the endpoint name.
 func (n *Node) ID() string { return n.cfg.ID }
 
+// Config returns the configuration the node runs with, defaults
+// applied.
+func (n *Node) Config() Config { return n.cfg }
+
 // Archive exposes the classified permanent store (read-side).
 func (n *Node) Archive() *store.Archive { return n.archive }
 

@@ -1,7 +1,8 @@
 // Package config defines the JSON deployment specification consumed
 // by the command-line tools: a whole city (districts/sections), the
 // aggregation settings, flush periods and retention windows, in one
-// reviewable document.
+// reviewable document. The Deployment field comments below are the
+// document's schema.
 package config
 
 import (
@@ -38,7 +39,14 @@ type DistrictSpec struct {
 	Lon      float64 `json:"lon,omitempty"`
 }
 
-// Deployment is the city-wide configuration document.
+// Deployment is the city-wide configuration document and the only
+// place a node knob lives. Every host derives its nodes from it the
+// same way — Options, then core.Options.Member per node — whether it
+// is core.NewSystem (simulations, f2cd -all-in-one), a single f2cd
+// daemon or citysim's live city; hosts add only a transport and a
+// metrics registry. Field names below are Go names; the JSON key is
+// in each field's tag. Omitted fields take the zero value, which
+// selects the default named in the comment.
 type Deployment struct {
 	City      string         `json:"city"`
 	Districts []DistrictSpec `json:"districts"`
@@ -55,7 +63,9 @@ type Deployment struct {
 	Fog2RetentionSeconds int `json:"fog2RetentionSeconds"`
 	// Fog1FlushByCategorySeconds overrides the layer-1 upward
 	// frequency for specific categories (keyed by category name) —
-	// the paper's per-business-model update policy.
+	// the paper's per-business-model update policy. The simulated
+	// day's flush schedule (citysim) applies it; wall-clock hosts
+	// flush every category at fog1FlushSeconds.
 	Fog1FlushByCategorySeconds map[string]int `json:"fog1FlushByCategorySeconds,omitempty"`
 	// DataDir enables durability: every node journals its delivery
 	// state (the cloud its archive) to a write-ahead log with
@@ -83,8 +93,13 @@ type Deployment struct {
 	// IngestRateBytes rate-limits the ingest class to this many
 	// payload bytes per second (0 = unlimited; requires overload).
 	IngestRateBytes int64 `json:"ingestRateBytes,omitempty"`
+	// MaxPendingReadings bounds each fog node's per-type upward
+	// buffer while its parent is unreachable; past it the oldest
+	// readings are trimmed (0 = unbounded).
+	MaxPendingReadings int `json:"maxPendingReadings,omitempty"`
 	// DegradeToSummary folds buffer-trimmed readings into window
-	// summaries forwarded upward instead of dropping them.
+	// summaries forwarded upward instead of dropping them (requires
+	// maxPendingReadings, the bound that trims).
 	DegradeToSummary bool `json:"degradeToSummary,omitempty"`
 	// DegradeWindowSeconds is the degraded-summary window width
 	// (0 = fognode default, one minute).
@@ -95,6 +110,9 @@ type Deployment struct {
 	// consistent-hash ring owner among the district's sections and
 	// enables runtime scale of fog layer 1 (AddFog1Node /
 	// RemoveFog1Node with live shard migration between siblings).
+	// The rings live in core.System, so hosts running one (citysim's
+	// simulation, f2cd -all-in-one) apply it; single daemons and the
+	// live city ingest where the edge sends.
 	ElasticOwnership bool `json:"elasticOwnership,omitempty"`
 	// VirtualNodes sets the ownership rings' virtual nodes per weight
 	// unit (0 = engine default; requires elasticOwnership).
@@ -226,6 +244,12 @@ func (d Deployment) Validate() error {
 	if d.IngestRateBytes > 0 && !d.Overload {
 		return fmt.Errorf("config: ingestRateBytes requires overload")
 	}
+	if d.MaxPendingReadings < 0 {
+		return fmt.Errorf("config: negative maxPendingReadings")
+	}
+	if d.DegradeToSummary && d.MaxPendingReadings == 0 {
+		return fmt.Errorf("config: degradeToSummary requires maxPendingReadings")
+	}
 	if d.DegradeWindowSeconds < 0 {
 		return fmt.Errorf("config: negative degradeWindowSeconds")
 	}
@@ -296,7 +320,7 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 	}
 	var overload *sched.Options
 	if d.Overload {
-		so := OverloadOptions(d.IngestRateBytes)
+		so := overloadOptions(d.IngestRateBytes)
 		overload = &so
 	}
 	var adaptive *fognode.AdaptiveConfig
@@ -328,6 +352,7 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		CloudRetention:      time.Duration(d.CloudRetentionSeconds) * time.Second,
 		NodeRetention:       nodeRetention,
 		Overload:            overload,
+		MaxPendingReadings:  d.MaxPendingReadings,
 		DegradeToSummary:    d.DegradeToSummary,
 		DegradeWindow:       time.Duration(d.DegradeWindowSeconds) * time.Second,
 		AdaptiveFlush:       adaptive,
@@ -336,12 +361,11 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 	}, nil
 }
 
-// OverloadOptions builds a deployment's admission-scheduler options:
+// overloadOptions builds a deployment's admission-scheduler options:
 // the default class weights, with the ingest class optionally
 // token-bucket limited to rateBytes payload bytes per second
-// (0 = unlimited). Shared by the deployment document and the daemon
-// flags so both spell overload identically.
-func OverloadOptions(rateBytes int64) sched.Options {
+// (0 = unlimited).
+func overloadOptions(rateBytes int64) sched.Options {
 	so := sched.DefaultOptions()
 	if rateBytes > 0 {
 		c := so.Classes["ingest"]

@@ -97,6 +97,7 @@ func TestParseErrors(t *testing.T) {
 		"negative":        `{"city":"x","fog1FlushSeconds":-1,"districts":[{"name":"a","sections":1}]}`,
 		"negative vnodes": `{"city":"x","elasticOwnership":true,"virtualNodes":-1,"districts":[{"name":"a","sections":1}]}`,
 		"vnodes no ring":  `{"city":"x","virtualNodes":64,"districts":[{"name":"a","sections":1}]}`,
+		"negative bound":  `{"city":"x","maxPendingReadings":-1,"districts":[{"name":"a","sections":1}]}`,
 	}
 	for name, data := range cases {
 		if _, err := Parse([]byte(data)); err == nil {

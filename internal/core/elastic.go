@@ -258,12 +258,10 @@ func (s *System) AddFog1Node(ctx context.Context, district string) (string, erro
 	if err := s.topo.AddNode(spec); err != nil {
 		return "", fmt.Errorf("core: scale-out: %w", err)
 	}
-	n, err := s.buildFog1(spec)
-	if err != nil {
+	if err := s.build(spec); err != nil {
 		_ = s.topo.RemoveNode(id)
-		return "", fmt.Errorf("core: scale-out %s: %w", id, err)
+		return "", fmt.Errorf("core: scale-out: %w", err)
 	}
-	s.net.Register(id, n)
 	s.net.SetLink(id, district, transport.MetroLink)
 	s.net.SetLink(district, id, transport.MetroLink)
 	s.net.SetLink(id, CloudID, transport.WANLink)
@@ -272,11 +270,6 @@ func (s *System) AddFog1Node(ctx context.Context, district string) (string, erro
 		s.net.SetLink(id, sib, transport.MetroLink)
 		s.net.SetLink(sib, id, transport.MetroLink)
 	}
-	s.nodeMu.Lock()
-	s.fog1[id] = n
-	s.fog1IDs = append(s.fog1IDs, id)
-	sort.Strings(s.fog1IDs)
-	s.nodeMu.Unlock()
 
 	// Ring join: only the types whose owner flips to the new node
 	// move; everything else stays put (the consistent-hash property

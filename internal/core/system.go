@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -27,12 +26,10 @@ import (
 	"f2c/internal/protocol"
 	"f2c/internal/query"
 	"f2c/internal/sched"
-	"f2c/internal/segment"
 	"f2c/internal/sensor"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
-	"f2c/internal/wal"
 )
 
 // Options configures a System.
@@ -165,6 +162,7 @@ type Options struct {
 	NodeRetention map[string]time.Duration
 }
 
+// applyDefaults fills the node-level defaults Member resolves from.
 func (o *Options) applyDefaults() {
 	if o.Topology == nil {
 		o.Topology = topology.Barcelona()
@@ -189,15 +187,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Fog2FlushInterval <= 0 {
 		o.Fog2FlushInterval = time.Hour
-	}
-	if o.Matrix == nil {
-		o.Matrix = metrics.NewTrafficMatrix()
-	}
-	if o.Registry == nil {
-		o.Registry = metrics.NewRegistry()
-	}
-	if o.FlushConcurrency <= 0 {
-		o.FlushConcurrency = 8
 	}
 }
 
@@ -247,6 +236,15 @@ func hopOf(from, to string) metrics.Hop {
 // NewSystem builds and wires the full hierarchy.
 func NewSystem(opts Options) (*System, error) {
 	opts.applyDefaults()
+	if opts.Matrix == nil {
+		opts.Matrix = metrics.NewTrafficMatrix()
+	}
+	if opts.Registry == nil {
+		opts.Registry = metrics.NewRegistry()
+	}
+	if opts.FlushConcurrency <= 0 {
+		opts.FlushConcurrency = 8
+	}
 	s := &System{
 		opts: opts,
 		topo: opts.Topology,
@@ -263,152 +261,69 @@ func NewSystem(opts Options) (*System, error) {
 		transport.WithFaultClock(opts.Clock),
 	)
 
-	cl, err := s.buildCloud()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := s.build(s.topo.Cloud()); err != nil {
+		return nil, err
 	}
-	s.cloud = cl
-	s.net.Register(CloudID, cl)
-
 	for _, spec := range s.topo.Fog2Nodes() {
-		n, err := s.buildFog2(spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: fog2 %s: %w", spec.ID, err)
+		if err := s.build(spec); err != nil {
+			return nil, err
 		}
-		s.fog2[spec.ID] = n
-		s.fog2IDs = append(s.fog2IDs, spec.ID)
-		s.net.Register(spec.ID, n)
 		s.net.SetLink(spec.ID, CloudID, transport.WANLink)
-		for _, sib := range s.fog2Siblings(spec.ID) {
-			s.net.SetLink(spec.ID, sib, transport.MetroLink)
+		for _, other := range s.topo.Fog2Nodes() {
+			if other.ID != spec.ID {
+				s.net.SetLink(spec.ID, other.ID, transport.MetroLink)
+			}
 		}
 	}
-
 	for _, spec := range s.topo.Fog1Nodes() {
-		n, err := s.buildFog1(spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: fog1 %s: %w", spec.ID, err)
+		if err := s.build(spec); err != nil {
+			return nil, err
 		}
-		s.fog1[spec.ID] = n
-		s.fog1IDs = append(s.fog1IDs, spec.ID)
-		s.net.Register(spec.ID, n)
 		s.net.SetLink(spec.ID, spec.Parent, transport.MetroLink)
 		s.net.SetLink(spec.ID, CloudID, transport.WANLink)
 		for _, nbr := range s.topo.Neighbors(spec.ID) {
 			s.net.SetLink(spec.ID, nbr, transport.MetroLink)
 		}
 	}
-	sort.Strings(s.fog1IDs)
-	sort.Strings(s.fog2IDs)
 	if opts.ElasticOwnership {
 		s.elastic = newElasticState(s)
 	}
 	return s, nil
 }
 
-// durabilityFor maps a node onto its WAL directory under DataDir (nil
-// when durability is off). Node ids contain '/' and become nested
-// directories.
-func (s *System) durabilityFor(id string) *wal.Config {
-	if s.opts.DataDir == "" {
-		return nil
+// build constructs the node a topology spec names from the system's
+// options (Options.Member) and installs it on the network, replacing
+// any previous instance of the same id.
+func (s *System) build(spec topology.NodeSpec) error {
+	mo := s.opts.Member(spec)
+	mo.Transport = s.net
+	n, err := NewNode(spec, mo)
+	if err != nil {
+		return err
 	}
-	return &wal.Config{
-		Dir:             filepath.Join(s.opts.DataDir, id),
-		SnapshotEvery:   s.opts.SnapshotEvery,
-		SyncEveryAppend: s.opts.WALSyncEveryAppend,
+	s.nodeMu.Lock()
+	switch spec.Layer {
+	case topology.LayerCloud:
+		s.cloud = n.Cloud
+	case topology.LayerFog2:
+		s.fog2IDs = install(s.fog2, s.fog2IDs, spec.ID, n.Fog)
+	default:
+		s.fog1IDs = install(s.fog1, s.fog1IDs, spec.ID, n.Fog)
 	}
+	s.nodeMu.Unlock()
+	s.net.Register(spec.ID, n.Handler())
+	return nil
 }
 
-// storageFor maps a node onto its segment-store directory under
-// DataDir/<node id>/store, beside the node's delivery journal (nil
-// when segment storage is off). Retention, Registry and MetricsPrefix
-// are left zero for the node builders to default.
-func (s *System) storageFor(id string) *segment.Options {
-	if !s.opts.SegmentStorage || s.opts.DataDir == "" {
-		return nil
+// install puts a fog node into its layer's map, adding a new id to the
+// layer's sorted roster.
+func install(nodes map[string]*fognode.Node, ids []string, id string, n *fognode.Node) []string {
+	if _, ok := nodes[id]; !ok {
+		ids = append(ids, id)
+		sort.Strings(ids)
 	}
-	return &segment.Options{
-		Dir:             filepath.Join(s.opts.DataDir, id, "store"),
-		MemtableBytes:   s.opts.MemtableBytes,
-		Codec:           s.opts.Codec,
-		SyncEveryAppend: s.opts.WALSyncEveryAppend,
-	}
-}
-
-// memberOptions projects the system's Options onto the shared
-// per-node builder, with the node-specific fields filled by the
-// caller.
-func (s *System) memberOptions(retention, flush time.Duration, siblings []string, durability *wal.Config) MemberOptions {
-	return MemberOptions{
-		Overload:           s.opts.Overload,
-		DegradeToSummary:   s.opts.DegradeToSummary,
-		DegradeWindow:      s.opts.DegradeWindow,
-		Adaptive:           s.opts.AdaptiveFlush,
-		City:               s.opts.City,
-		Clock:              s.opts.Clock,
-		Transport:          s.net,
-		Retention:          retention,
-		FlushInterval:      flush,
-		Codec:              s.opts.Codec,
-		Dedup:              s.opts.Dedup,
-		Quality:            s.opts.Quality,
-		Registry:           s.opts.Registry,
-		Siblings:           siblings,
-		PendingShards:      s.opts.PendingShards,
-		FlushWorkers:       s.opts.FlushWorkers,
-		MaxQueryPage:       s.opts.QueryPageLimit,
-		MaxPendingReadings: s.opts.MaxPendingReadings,
-		RetryBase:          s.opts.RetryBase,
-		RetryMax:           s.opts.RetryMax,
-		FailoverAfter:      s.opts.FailoverAfter,
-		Durability:         durability,
-		AlertObserver:      s.opts.AlertObserver,
-	}
-}
-
-// retentionFor applies a per-node override on top of the layer preset.
-func (s *System) retentionFor(id string, preset time.Duration) time.Duration {
-	if r, ok := s.opts.NodeRetention[id]; ok {
-		return r
-	}
-	return preset
-}
-
-func (s *System) buildCloud() (*cloud.Node, error) {
-	mo := s.memberOptions(0, 0, nil, s.durabilityFor(CloudID))
-	mo.Storage = s.storageFor(CloudID)
-	mo.CloudRetention = s.retentionFor(CloudID, s.opts.CloudRetention)
-	return cloud.New(CloudConfig(CloudID, mo))
-}
-
-// fog2Siblings returns a district's failover siblings: the other
-// districts. When its own WAN uplink is partitioned, a healthy
-// district relays the sealed batches to the cloud.
-func (s *System) fog2Siblings(id string) []string {
-	var sibs []string
-	for _, other := range s.topo.Fog2Nodes() {
-		if other.ID != id {
-			sibs = append(sibs, other.ID)
-		}
-	}
-	return sibs
-}
-
-func (s *System) buildFog2(spec topology.NodeSpec) (*fognode.Node, error) {
-	mo := s.memberOptions(
-		s.retentionFor(spec.ID, s.opts.Fog2Retention), s.opts.Fog2FlushInterval,
-		s.fog2Siblings(spec.ID), s.durabilityFor(spec.ID))
-	mo.Storage = s.storageFor(spec.ID)
-	return fognode.New(FogConfig(spec, mo))
-}
-
-func (s *System) buildFog1(spec topology.NodeSpec) (*fognode.Node, error) {
-	mo := s.memberOptions(
-		s.retentionFor(spec.ID, s.opts.Fog1Retention), s.opts.Fog1FlushInterval,
-		s.topo.Neighbors(spec.ID), s.durabilityFor(spec.ID))
-	mo.Storage = s.storageFor(spec.ID)
-	return fognode.New(FogConfig(spec, mo))
+	nodes[id] = n
+	return ids
 }
 
 // Reboot simulates a process restart of one node, fog or cloud: the
@@ -420,50 +335,27 @@ func (s *System) buildFog1(spec topology.NodeSpec) (*fognode.Node, error) {
 // the pre-durability loss mode. Intended for fault-injection
 // harnesses; the node's background flusher must not be running.
 func (s *System) Reboot(id string) error {
-	if id == CloudID {
-		// The replaced instance's journal handle is released (crash
-		// semantics: no flush, no checkpoint) before recovery opens
-		// the same directory, so reboot loops do not leak descriptors.
-		s.Cloud().Discard()
-		cl, err := s.buildCloud()
-		if err != nil {
-			return fmt.Errorf("core: reboot %s: %w", id, err)
-		}
-		s.nodeMu.Lock()
-		s.cloud = cl
-		s.nodeMu.Unlock()
-		s.net.Register(CloudID, cl)
-		return nil
-	}
 	spec, ok := s.topo.Node(id)
 	if !ok {
 		return fmt.Errorf("core: reboot: unknown node %q", id)
 	}
+	// The replaced instance's journal handle is released (crash
+	// semantics: no flush, no checkpoint) before recovery opens the
+	// same directory, so reboot loops do not leak descriptors.
 	switch spec.Layer {
+	case topology.LayerCloud:
+		s.Cloud().Discard()
 	case topology.LayerFog2:
 		if old, ok := s.Fog2(id); ok {
 			old.Discard()
 		}
-		n, err := s.buildFog2(spec)
-		if err != nil {
-			return fmt.Errorf("core: reboot %s: %w", id, err)
-		}
-		s.nodeMu.Lock()
-		s.fog2[id] = n
-		s.nodeMu.Unlock()
-		s.net.Register(id, n)
 	default:
 		if old, ok := s.Fog1(id); ok {
 			old.Discard()
 		}
-		n, err := s.buildFog1(spec)
-		if err != nil {
-			return fmt.Errorf("core: reboot %s: %w", id, err)
-		}
-		s.nodeMu.Lock()
-		s.fog1[id] = n
-		s.nodeMu.Unlock()
-		s.net.Register(id, n)
+	}
+	if err := s.build(spec); err != nil {
+		return fmt.Errorf("core: reboot: %w", err)
 	}
 	return nil
 }

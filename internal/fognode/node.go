@@ -477,6 +477,10 @@ func New(cfg Config) (*Node, error) {
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.cfg.Spec.ID }
 
+// Config returns the configuration the node runs with, defaults
+// applied.
+func (n *Node) Config() Config { return n.cfg }
+
 // Layer returns the node's hierarchy layer.
 func (n *Node) Layer() topology.Layer { return n.cfg.Spec.Layer }
 

@@ -57,13 +57,27 @@ echo "== building the load plane"
 go build -o "$WORK/citysim" ./cmd/citysim
 go build -o "$WORK/f2cload" ./cmd/f2cload
 
-# boot_city <tag> <extra citysim flags...> — boots a live city and
-# waits for its cluster document at $WORK/<tag>.cluster.json.
+# boot_city <tag> [extra deployment JSON members] — writes the live
+# city's deployment document (4 fog1 / 2 fog2 / 1 cloud, 1 s / 2 s
+# flush periods) with the extra members appended, boots it and waits
+# for its cluster document at $WORK/<tag>.cluster.json.
 boot_city() {
 	tag="$1"
-	shift
-	"$WORK/citysim" -live -live-districts 2 -live-sections 2 \
-		-flush1 1s -flush2 2s -cluster-out "$WORK/$tag.cluster.json" "$@" \
+	cat >"$WORK/$tag.city.json" <<EOF
+{
+	"city": "Barcelona",
+	"districts": [{"name": "d01", "sections": 2}, {"name": "d02", "sections": 2}],
+	"codec": "zip",
+	"dedup": true,
+	"quality": true,
+	"fog1FlushSeconds": 1,
+	"fog2FlushSeconds": 2,
+	"fog1RetentionSeconds": 3600,
+	"fog2RetentionSeconds": 86400${2:-}
+}
+EOF
+	"$WORK/citysim" -live -config "$WORK/$tag.city.json" \
+		-cluster-out "$WORK/$tag.cluster.json" \
 		>"$WORK/$tag.citysim.log" 2>&1 &
 	SIM_PID=$!
 	i=0
@@ -101,9 +115,12 @@ measure() {
 }
 
 echo "== treatment city: overload control ON"
-boot_city treatment \
-	-live-overload -live-ingest-rate "$RATE" \
-	-live-max-pending "$MAXPEND" -live-degrade -live-adaptive-flush
+boot_city treatment ",
+	\"overload\": true,
+	\"ingestRateBytes\": $RATE,
+	\"maxPendingReadings\": $MAXPEND,
+	\"degradeToSummary\": true,
+	\"adaptiveFlush\": true"
 measure treatment
 stop_city
 

@@ -56,8 +56,20 @@ go build -o "$WORK/citysim" ./cmd/citysim
 go build -o "$WORK/f2cload" ./cmd/f2cload
 
 echo "== booting the live city (tcpnet on loopback)"
-"$WORK/citysim" -live -live-districts 2 -live-sections 2 \
-	-flush1 2s -flush2 5s -cluster-out "$WORK/cluster.json" \
+cat >"$WORK/city.json" <<EOF
+{
+	"city": "Barcelona",
+	"districts": [{"name": "d01", "sections": 2}, {"name": "d02", "sections": 2}],
+	"codec": "zip",
+	"dedup": true,
+	"quality": true,
+	"fog1FlushSeconds": 2,
+	"fog2FlushSeconds": 5,
+	"fog1RetentionSeconds": 3600,
+	"fog2RetentionSeconds": 86400
+}
+EOF
+"$WORK/citysim" -live -config "$WORK/city.json" -cluster-out "$WORK/cluster.json" \
 	>"$WORK/citysim.log" 2>&1 &
 SIM_PID=$!
 i=0

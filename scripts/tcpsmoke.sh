@@ -37,17 +37,32 @@ go build -o "$WORK/f2cload" ./cmd/f2cload
 
 CTL="$WORK/f2cctl -transport tcp"
 
+# One deployment document describes the whole city; each process hosts
+# the node its -id names in it. Hour-long flush periods keep the
+# background flushers out of the way: the smoke flushes explicitly.
+cat >"$WORK/city.json" <<EOF
+{
+	"city": "Barcelona",
+	"districts": [{"name": "d01", "sections": 1}],
+	"codec": "zip",
+	"dedup": true,
+	"quality": true,
+	"fog1FlushSeconds": 3600,
+	"fog2FlushSeconds": 3600,
+	"fog1RetentionSeconds": 3600,
+	"fog2RetentionSeconds": 86400
+}
+EOF
+
 echo "== starting cloud + fog2 + fog1 over tcpnet"
-"$WORK/f2cd" -id cloud -layer cloud -transport tcp \
-	-listen "$CLOUD_ADDR" >"$WORK/cloud.log" 2>&1 &
+F2CD="$WORK/f2cd -config $WORK/city.json -transport tcp"
+$F2CD -id cloud -listen "$CLOUD_ADDR" >"$WORK/cloud.log" 2>&1 &
 CLOUD_PID=$!
-"$WORK/f2cd" -id fog2/d01 -layer fog2 -transport tcp \
-	-parent cloud -parent-addr "$CLOUD_ADDR" \
-	-listen "$FOG2_ADDR" -flush 1h >"$WORK/fog2.log" 2>&1 &
+$F2CD -id fog2/d01 -parent-addr "$CLOUD_ADDR" \
+	-listen "$FOG2_ADDR" >"$WORK/fog2.log" 2>&1 &
 FOG2_PID=$!
-"$WORK/f2cd" -id fog1/d01-s01 -layer fog1 -transport tcp \
-	-parent fog2/d01 -parent-addr "$FOG2_ADDR" \
-	-listen "$FOG1_ADDR" -flush 1h >"$WORK/fog1.log" 2>&1 &
+$F2CD -id fog1/d01-s01 -parent-addr "$FOG2_ADDR" \
+	-listen "$FOG1_ADDR" >"$WORK/fog1.log" 2>&1 &
 FOG1_PID=$!
 
 wait_ready() { # addr id
