@@ -123,6 +123,39 @@ func TestEndToEndDataFlow(t *testing.T) {
 	}
 }
 
+// TestWireSeparatorInNameIsRejected: a ';' or '\n' in a name would
+// seal into a text payload fog2 cannot decode, failing every later
+// flush of the type. Such a batch must be refused at ingest, and the
+// type's upward path must keep working for the batches after it.
+func TestWireSeparatorInNameIsRejected(t *testing.T) {
+	for name, mutate := range map[string]func(*model.Batch){
+		"sensor id": func(b *model.Batch) { b.Readings[0].SensorID = "bad;id" },
+		"unit":      func(b *model.Batch) { b.Readings[0].Unit = "C\n" },
+		"node id":   func(b *model.Batch) { b.NodeID = "edge;1" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newSystem(t, Options{Dedup: true, Quality: true})
+			ctx := context.Background()
+			f1 := s.Fog1IDs()[0]
+			bad := tempBatch("s0", 20, t0)
+			mutate(bad)
+			if err := s.IngestAt(f1, bad); err == nil || !strings.Contains(err.Error(), "wire separator") {
+				t.Fatalf("ingest of %+v: err = %v, want a wire separator error", bad, err)
+			}
+			if err := s.IngestAt(f1, tempBatch("s1", 21, t0.Add(time.Second))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.FlushAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			r, found, err := s.LatestFromCloud(ctx, f1, "s1")
+			if err != nil || !found || r.Value != 21 {
+				t.Fatalf("cloud read = %+v found=%v err=%v", r, found, err)
+			}
+		})
+	}
+}
+
 func TestIngestAtUnknownNode(t *testing.T) {
 	s := newSystem(t, Options{})
 	if err := s.IngestAt("fog1/nope", tempBatch("s1", 21, t0)); err == nil {

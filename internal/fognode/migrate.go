@@ -47,7 +47,8 @@ package fognode
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"f2c/internal/cq"
 	"f2c/internal/model"
@@ -93,18 +94,26 @@ func (n *Node) Routes() map[string]string {
 // sortBatchReadings restores time order (ties broken by sensor then
 // value) so sealed payloads — and their compressed sizes — are
 // deterministic for a given set of readings regardless of arrival
-// interleaving.
+// interleaving. The sort is stable: readings equal in all three keep
+// their arrival order, so the sealed bytes are the same too.
 func sortBatchReadings(b *model.Batch) {
-	sort.SliceStable(b.Readings, func(i, j int) bool {
-		ri, rj := &b.Readings[i], &b.Readings[j]
-		if !ri.Time.Equal(rj.Time) {
-			return ri.Time.Before(rj.Time)
-		}
-		if ri.SensorID != rj.SensorID {
-			return ri.SensorID < rj.SensorID
-		}
-		return ri.Value < rj.Value
-	})
+	slices.SortStableFunc(b.Readings, compareReadings)
+}
+
+func compareReadings(a, b model.Reading) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.SensorID, b.SensorID); c != 0 {
+		return c
+	}
+	switch {
+	case a.Value < b.Value:
+		return -1
+	case a.Value > b.Value:
+		return 1
+	}
+	return 0
 }
 
 // MigrateOut moves one sensor type's buffered delivery state to a new

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sim"
 	"f2c/internal/transport"
@@ -637,5 +638,33 @@ func TestMigrateJournalReplay(t *testing.T) {
 	// Foreign sequences must not advance this node's counter.
 	if rs2.sawSeq {
 		t.Errorf("absorbed foreign sequences advanced the local counter to %d", rs2.seqCounter)
+	}
+}
+
+// TestSortBatchReadingsIsStable: readings equal in time, sensor and
+// value must keep their arrival order through the seal sort, or two
+// arrival orders of the same readings would seal to different bytes.
+// 64 readings span several of the stable sort's insertion blocks, so
+// its merge passes are exercised too.
+func TestSortBatchReadingsIsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := &model.Batch{}
+	for i := 0; i < 64; i++ {
+		b.Readings = append(b.Readings, model.Reading{
+			SensorID: fmt.Sprintf("s%d", rng.Intn(2)),
+			Time:     t0.Add(time.Duration(rng.Intn(3)) * time.Second),
+			Value:    float64(rng.Intn(2)),
+			Location: model.GeoPoint{Lat: float64(i)}, // arrival index
+		})
+	}
+	sortBatchReadings(b)
+	for i := 1; i < len(b.Readings); i++ {
+		p, r := &b.Readings[i-1], &b.Readings[i]
+		switch c := compareReadings(*p, *r); {
+		case c > 0:
+			t.Fatalf("readings %d and %d out of order: %+v, %+v", i-1, i, *p, *r)
+		case c == 0 && p.Location.Lat > r.Location.Lat:
+			t.Fatalf("equal readings %d and %d swapped arrival order %v, %v", i-1, i, p.Location.Lat, r.Location.Lat)
+		}
 	}
 }

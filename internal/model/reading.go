@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -114,21 +115,40 @@ func (b *Batch) Clone() *Batch {
 	return &cp
 }
 
+// hasWireSeparator reports whether s holds a field or line separator
+// of the text wire encoding. A name containing one would seal into a
+// payload that no upper tier can decode, so batches carrying one are
+// rejected at ingest instead.
+func hasWireSeparator(s string) bool {
+	return strings.IndexByte(s, ';') >= 0 || strings.IndexByte(s, '\n') >= 0
+}
+
 // Validate checks the batch and every contained reading.
 func (b *Batch) Validate() error {
 	if b.NodeID == "" {
 		return fmt.Errorf("batch: empty node id")
 	}
+	if hasWireSeparator(b.NodeID) {
+		return fmt.Errorf("batch: node id %q contains a wire separator", b.NodeID)
+	}
 	if b.TypeName == "" {
 		return fmt.Errorf("batch from %s: empty type", b.NodeID)
 	}
+	if hasWireSeparator(b.TypeName) {
+		return fmt.Errorf("batch from %s: type %q contains a wire separator", b.NodeID, b.TypeName)
+	}
 	for i := range b.Readings {
-		if err := b.Readings[i].Validate(); err != nil {
+		r := &b.Readings[i]
+		if err := r.Validate(); err != nil {
 			return fmt.Errorf("batch from %s: reading %d: %w", b.NodeID, i, err)
 		}
-		if b.Readings[i].TypeName != b.TypeName {
+		if hasWireSeparator(r.SensorID) || hasWireSeparator(r.Unit) {
+			return fmt.Errorf("batch from %s: reading %d: sensor id %q or unit %q contains a wire separator",
+				b.NodeID, i, r.SensorID, r.Unit)
+		}
+		if r.TypeName != b.TypeName {
 			return fmt.Errorf("batch from %s: reading %d type %q != batch type %q",
-				b.NodeID, i, b.Readings[i].TypeName, b.TypeName)
+				b.NodeID, i, r.TypeName, b.TypeName)
 		}
 	}
 	return nil

@@ -85,6 +85,25 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	b.ReportMetric(500, "readings/op")
 }
 
+// BenchmarkAppendBatch times the text encoder that seals every batch
+// at every tier, on readings placed in Barcelona so the coordinates
+// take the fixed-point path a real city does.
+func BenchmarkAppendBatch(b *testing.B) {
+	batch := benchBatch(b, 100, 4)
+	for i := range batch.Readings {
+		loc := &batch.Readings[i].Location
+		loc.Lat += 41.3851
+		loc.Lon += 2.1734
+	}
+	buf := EncodeBatch(batch)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendBatch(buf[:0], batch)
+	}
+}
+
 func BenchmarkDecodeBatch(b *testing.B) {
 	batch := benchBatch(b, 100, 4)
 	wire := EncodeBatch(batch)

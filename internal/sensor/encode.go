@@ -3,6 +3,7 @@ package sensor
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -23,6 +24,18 @@ import (
 // index parser, so the seal/open path allocates nothing beyond the
 // decoded readings themselves: batch sealing is the hottest CPU path
 // in the hierarchy and runs from many concurrent flush workers.
+//
+// The numeric fields have exact fast paths for the grammar the
+// encoder itself emits; any other input goes to the strconv call each
+// fast path replaces, so output bytes, accepted inputs, decoded values
+// and error texts are all strconv's:
+//
+//   - lat/lon are written as fixed-point -?d+.ddddd by appendCoord
+//     when |x| < 1e4 and x·1e5 is not within 1e-6 of a rounding tie.
+//   - value, lat and lon are read as -?d+(.d+)? with at most 15
+//     digits by parseFloat (Clinger's exact fast path).
+//   - timestamps and the header time are read as -?d{1,19} within
+//     int64 range by parseInt.
 
 const headerMagic = "#f2c"
 
@@ -51,12 +64,42 @@ func AppendBatch(dst []byte, b *model.Batch) []byte {
 		dst = append(dst, ';')
 		dst = append(dst, r.Unit...)
 		dst = append(dst, ';')
-		dst = strconv.AppendFloat(dst, r.Location.Lat, 'f', 5, 64)
+		dst = appendCoord(dst, r.Location.Lat)
 		dst = append(dst, ';')
-		dst = strconv.AppendFloat(dst, r.Location.Lon, 'f', 5, 64)
+		dst = appendCoord(dst, r.Location.Lon)
 		dst = append(dst, '\n')
 	}
 	return dst
+}
+
+// appendCoord appends x exactly as strconv.AppendFloat(dst, x, 'f', 5,
+// 64) does, without strconv's multiprecision path. For |x| < 1e4 the
+// product y = |x|·1e5 is below 1e9, so its rounding error is at most
+// half an ulp, ~6e-8: whenever frac(y) is further than 1e-6 from 0.5
+// the round-to-nearest decision on y is the decision on the exact
+// decimal value of x. Near-ties (including exact ones, which strconv
+// rounds half-to-even), non-finite values and |x| ≥ 1e4 fall back.
+func appendCoord(dst []byte, x float64) []byte {
+	ax := math.Abs(x)
+	if !(ax < 1e4) { // also NaN
+		return strconv.AppendFloat(dst, x, 'f', 5, 64)
+	}
+	y := ax * 1e5
+	n := uint64(y)
+	switch f := y - float64(n); {
+	case f > 0.5+1e-6:
+		n++
+	case f >= 0.5-1e-6:
+		return strconv.AppendFloat(dst, x, 'f', 5, 64)
+	}
+	if math.Signbit(x) {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, n/100000, 10)
+	frac := n % 100000
+	return append(dst, '.',
+		byte('0'+frac/10000), byte('0'+frac/1000%10), byte('0'+frac/100%10),
+		byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // EncodeBatch renders a batch in the wire format as a fresh slice.
@@ -101,7 +144,7 @@ func DecodeBatch(data []byte) (*model.Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
 	}
-	collected, err := strconv.ParseInt(string(fields[4]), 10, 64)
+	collected, err := parseInt(fields[4])
 	if err != nil {
 		return nil, fmt.Errorf("decode batch: collected time: %w", err)
 	}
@@ -188,19 +231,19 @@ func decodeLine(fields [][]byte, line []byte, typeName string, cat model.Categor
 		n := bytes.Count(line, []byte{';'}) + 1
 		return model.Reading{}, fmt.Errorf("want 6 fields, got %d", n)
 	}
-	ts, err := strconv.ParseInt(string(parts[1]), 10, 64)
+	ts, err := parseInt(parts[1])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("timestamp: %w", err)
 	}
-	val, err := strconv.ParseFloat(string(parts[2]), 64)
+	val, err := parseFloat(parts[2])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("value: %w", err)
 	}
-	lat, err := strconv.ParseFloat(string(parts[4]), 64)
+	lat, err := parseFloat(parts[4])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("lat: %w", err)
 	}
-	lon, err := strconv.ParseFloat(string(parts[5]), 64)
+	lon, err := parseFloat(parts[5])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("lon: %w", err)
 	}
@@ -213,6 +256,76 @@ func decodeLine(fields [][]byte, line []byte, typeName string, cat model.Categor
 		Unit:     internString(intern, parts[3]),
 		Location: model.GeoPoint{Lat: lat, Lon: lon},
 	}, nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseFloat returns strconv.ParseFloat(string(b), 64). A decimal
+// -?d+(.d+)? of at most 15 digits is parsed in place as m / 10^k:
+// both operands are exact in a float64 and IEEE division rounds
+// correctly, so the result is bit-identical to strconv's. Every other
+// input (exponents, '+', "1.", ".5", inf/nan, longer mantissas, junk)
+// goes to strconv itself, for its value and its error.
+func parseFloat(b []byte) (float64, error) {
+	i, neg := 0, len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	digits, point, frac := 0, false, 0
+	for ; i < len(b); i++ {
+		c := b[i]
+		if c == '.' && !point && digits > 0 {
+			point = true
+			continue
+		}
+		if c < '0' || c > '9' {
+			return strconv.ParseFloat(string(b), 64)
+		}
+		m = m*10 + uint64(c-'0')
+		digits++
+		if point {
+			frac++
+		}
+	}
+	if digits == 0 || digits > 15 || (point && frac == 0) {
+		return strconv.ParseFloat(string(b), 64)
+	}
+	f := float64(m) / pow10[frac]
+	if neg {
+		f = -f
+	}
+	return f, nil
+}
+
+// parseInt returns strconv.ParseInt(string(b), 10, 64). -?d{1,19}
+// fits a uint64 (unix-nanosecond times since 2001 have 19 digits) and
+// is parsed in place when it is in int64 range; anything else goes to
+// strconv.
+func parseInt(b []byte) (int64, error) {
+	i, neg := 0, len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
+	}
+	if n := len(b) - i; n == 0 || n > 19 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var u uint64
+	for ; i < len(b); i++ {
+		c := b[i]
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	switch {
+	case !neg && u <= math.MaxInt64:
+		return int64(u), nil
+	case neg && u <= 1<<63:
+		return -int64(u), nil
+	}
+	return strconv.ParseInt(string(b), 10, 64)
 }
 
 // FixedWireBytes returns the Table I payload accounting for n

@@ -2,6 +2,9 @@ package sensor
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -131,6 +134,44 @@ func FuzzDecodeBatch(f *testing.F) {
 			if r.SensorID != w.SensorID || !r.Time.Equal(w.Time) || r.Value != w.Value || r.Unit != w.Unit {
 				t.Fatalf("reading %d: got %+v want %+v", i, r, w)
 			}
+		}
+	})
+}
+
+// FuzzAppendCoord checks the fixed-point coordinate encoder against
+// the strconv call it replaces on arbitrary float64 bit patterns: the
+// wire bytes must be identical for every input, ties, -0, NaN and
+// ±Inf included.
+func FuzzAppendCoord(f *testing.F) {
+	f.Add(math.Float64bits(41.38))
+	f.Add(math.Float64bits(-2.17))
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		got := appendCoord([]byte("x;"), x)
+		want := strconv.AppendFloat([]byte("x;"), x, 'f', 5, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendCoord(%v [%#x]) = %q, strconv = %q", x, bits, got, want)
+		}
+	})
+}
+
+// FuzzParseNumber checks the in-place decimal and integer parsers
+// against strconv.ParseFloat and strconv.ParseInt: same value bits
+// (so -0 stays -0), same error text.
+func FuzzParseNumber(f *testing.F) {
+	f.Add("21.5")
+	f.Add("1496275200000000000")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseFloat([]byte(s))
+		want, werr := strconv.ParseFloat(s, 64)
+		if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("parseFloat(%q) = %v [%#x], %v; strconv = %v [%#x], %v",
+				s, got, math.Float64bits(got), err, want, math.Float64bits(want), werr)
+		}
+		gi, err := parseInt([]byte(s))
+		wi, werr := strconv.ParseInt(s, 10, 64)
+		if gi != wi || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("parseInt(%q) = %d, %v; strconv = %d, %v", s, gi, err, wi, werr)
 		}
 	})
 }

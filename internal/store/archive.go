@@ -204,7 +204,7 @@ func (a *Archive) sortedScan(typeName string) []model.Reading {
 	if ts.dirty {
 		s := make([]model.Reading, len(ts.readings))
 		copy(s, ts.readings)
-		sort.SliceStable(s, func(i, j int) bool { return s[i].Time.Before(s[j].Time) })
+		sortByTime(s)
 		ts.readings = s
 		ts.dirty = false
 	}

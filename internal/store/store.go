@@ -7,6 +7,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -380,7 +381,39 @@ func sortLocked(sh *seriesShard, typeName string) {
 	if !sh.dirty[typeName] {
 		return
 	}
-	series := sh.byType[typeName]
-	sort.SliceStable(series, func(i, j int) bool { return series[i].Time.Before(series[j].Time) })
+	sortByTime(sh.byType[typeName])
 	sh.dirty[typeName] = false
 }
+
+// sortByTime stably sorts a series by time. Sorts are stable because
+// page cursors skip equal-time readings by count, so those must keep
+// their arrival order. Out-of-order appends disturb only the end of a
+// series, so only the suffix from unsortedFrom is sorted: the result
+// is the same as sorting all of s, without re-walking the long sorted
+// history on every flush's eviction.
+func sortByTime(s []model.Reading) {
+	slices.SortStableFunc(s[unsortedFrom(s):], compareTime)
+}
+
+// unsortedFrom returns where the part of s that a stable time sort
+// would move starts. The readings before it are in time order and
+// none is later than any reading after it, so a stable sort leaves
+// them where they are.
+func unsortedFrom(s []model.Reading) int {
+	k := 1
+	for k < len(s) && !s[k].Time.Before(s[k-1].Time) {
+		k++
+	}
+	if k >= len(s) {
+		return len(s)
+	}
+	low := s[k].Time
+	for i := k + 1; i < len(s); i++ {
+		if s[i].Time.Before(low) {
+			low = s[i].Time
+		}
+	}
+	return sort.Search(k, func(i int) bool { return s[i].Time.After(low) })
+}
+
+func compareTime(a, b model.Reading) int { return a.Time.Compare(b.Time) }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -318,5 +320,30 @@ func TestArchiveExpire(t *testing.T) {
 	// No-op expiry.
 	if n := a.Expire(t0); n != 0 {
 		t.Errorf("second expire = %d, want 0", n)
+	}
+}
+
+// TestSortByTimeMatchesFullStableSort: sorting only the suffix from
+// unsortedFrom must give exactly the full stable sort, equal-time
+// readings in arrival order included, for any sorted history followed
+// by out-of-order appends.
+func TestSortByTimeMatchesFullStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n, tail := rng.Intn(60), rng.Intn(20)
+		var s []model.Reading
+		for i := 0; i < n+tail; i++ {
+			sec := i / 3 // ties in the sorted history
+			if i >= n {
+				sec = rng.Intn(n/3 + 2)
+			}
+			s = append(s, model.Reading{Time: t0.Add(time.Duration(sec) * time.Second), Value: float64(i)})
+		}
+		want := slices.Clone(s)
+		slices.SortStableFunc(want, compareTime)
+		sortByTime(s)
+		if !slices.Equal(s, want) {
+			t.Fatalf("trial %d: sortByTime = %v, want %v", trial, s, want)
+		}
 	}
 }
