@@ -112,7 +112,7 @@ func (c *liveCity) close() error {
 }
 
 // runLive hosts the deployment (startLive), writes the resulting
-// cluster document (transport "tcp", node id -> address) so f2cload
+// cluster document (node id -> tcpnet address) so f2cload
 // and f2cctl can drive the city, then serves until SIGINT/SIGTERM.
 func runLive(dep config.Deployment, host, clusterOut string) error {
 	c, err := startLive(dep, host)
@@ -120,7 +120,7 @@ func runLive(dep config.Deployment, host, clusterOut string) error {
 		return err
 	}
 	if clusterOut != "" {
-		cluster := config.Cluster{Transport: config.TransportTCP, Nodes: c.addrs}
+		cluster := config.Cluster{Nodes: c.addrs}
 		if err := cluster.Save(clusterOut); err != nil {
 			return errors.Join(err, c.close())
 		}

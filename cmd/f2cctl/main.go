@@ -1,13 +1,14 @@
-// Command f2cctl inspects and controls running f2cd nodes:
+// Command f2cctl inspects and controls running f2cd nodes over the
+// tcpnet message plane; -node is the node's host:port:
 //
-//	f2cctl -node http://localhost:8082 status
-//	f2cctl -node http://localhost:8082 flush
-//	f2cctl -node http://localhost:8082 metrics
-//	f2cctl -node http://localhost:8082 -node-id fog1/d01-s01 routes
-//	f2cctl -transport tcp -node localhost:9000 status
-//	f2cctl -node http://localhost:8082 latest <sensorID>
-//	f2cctl -node http://localhost:8082 range <type> <fromRFC3339> <toRFC3339>
-//	f2cctl -node http://localhost:8082 sum <type> <fromRFC3339> <toRFC3339>
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 status
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 flush
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 metrics
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 routes
+//	f2cctl -node localhost:9000 status            # -node-id defaults to cloud
+//	f2cctl -node localhost:9000 latest <sensorID>
+//	f2cctl -node localhost:9000 range <type> <fromRFC3339> <toRFC3339>
+//	f2cctl -node localhost:9000 sum <type> <fromRFC3339> <toRFC3339>
 //	f2cctl -node ... -node-id fog1/d01-s01 subscribe <id> <type> window <width> [slide]
 //	f2cctl -node ... -node-id fog1/d01-s01 subscribe <id> <type> threshold <width> gt|lt <value>
 //	f2cctl -node ... -node-id fog1/d01-s01 unsubscribe <id>
@@ -39,7 +40,6 @@ import (
 	"strings"
 	"time"
 
-	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/metrics"
@@ -60,9 +60,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2cctl", flag.ContinueOnError)
-	nodeURL := fs.String("node", "", "target node address: base URL (http transport) or host:port (tcp transport)")
+	nodeAddr := fs.String("node", "", "target node host:port")
 	nodeID := fs.String("node-id", "cloud", "addressed node id (all-in-one gateways route by it)")
-	transportName := fs.String("transport", "http", "wire protocol the target serves: http|tcp")
 	timeout := fs.Duration("timeout", 10*time.Second, "request timeout")
 	limit := fs.Int("limit", 0, "readings per range page (0 = server default)")
 	if err := fs.Parse(args); err != nil {
@@ -84,27 +83,16 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *nodeURL == "" {
+	if *nodeAddr == "" {
 		return errors.New("-node is required for remote commands")
 	}
 	target := *nodeID
 	if target == "" {
 		target = "cloud"
 	}
-	var tr transport.Transport
-	switch *transportName {
-	case config.TransportHTTP:
-		htr := transport.NewHTTPTransport(*timeout)
-		htr.AddPeer(target, *nodeURL)
-		tr = htr
-	case config.TransportTCP:
-		ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
-		ttr.AddPeer(target, *nodeURL)
-		defer ttr.Close()
-		tr = ttr
-	default:
-		return fmt.Errorf("unknown transport %q (want http|tcp)", *transportName)
-	}
+	tr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
+	tr.AddPeer(target, *nodeAddr)
+	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/http"
 
 	"f2c/internal/core"
 	"f2c/internal/cq"
@@ -14,16 +13,16 @@ import (
 
 // runAllInOne hosts the entire deployment inside one process: every
 // fog node over the in-process simulated network, the cloud, and a
-// single HTTP endpoint. Messages are routed by the X-F2C-To header,
-// so f2cload and f2cctl work unchanged against any node, and the
-// open-data API is served from the same port — a one-command demo
-// city:
+// single tcpnet endpoint that routes each message to the node its To
+// field names, so f2cload and f2cctl work unchanged against any node.
+// The open-data API gets its own HTTP listener, as on a cloud daemon —
+// a one-command demo city:
 //
-//	f2cd -all-in-one -listen :8080
-//	f2cload -node http://localhost:8080 -node-id fog1/d01-s01 ...
-//	f2cctl  -node http://localhost:8080 status   # routes to the cloud
+//	f2cd -all-in-one -listen :9000 -opendata-listen :8080
+//	f2cload -node localhost:9000 -node-id fog1/d01-s01 ...
+//	f2cctl  -node localhost:9000 status   # -node-id defaults to cloud
 //	curl http://localhost:8080/opendata/v1/categories
-func runAllInOne(opts core.Options, subs []cq.Subscription, listen string) error {
+func runAllInOne(opts core.Options, subs []cq.Subscription, listen, opendataListen string) error {
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		return err
@@ -42,37 +41,24 @@ func runAllInOne(opts core.Options, subs []cq.Subscription, listen string) error
 	}
 	sys.Start()
 
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, allInOneRouter{sys: sys})
-	mux.Handle("/opendata/", sys.Cloud().OpenDataHandler())
-	srv, err := listenHTTP(listen, mux)
-	if err != nil {
-		return errors.Join(err, shutdown(sys.Close))
-	}
 	f1, f2, _ := sys.Topology().Counts()
-	log.Printf("all-in-one %s (%d fog1 / %d fog2 / 1 cloud) listening on %s", opts.City, f1, f2, listen)
-	waitSignal()
-	return shutdown(srv.Shutdown, sys.Close)
+	name := fmt.Sprintf("all-in-one %s (%d fog1 / %d fog2 / 1 cloud)", opts.City, f1, f2)
+	return serve(name, listen, allInOneRouter{sys: sys}, nil, sys.Cloud().OpenDataHandler(), opendataListen, sys.Close)
 }
 
-// allInOneRouter dispatches /f2c/v1/message requests to the addressed
-// node by the X-F2C-To header; an empty or "cloud" target goes to the
-// cloud node.
+// allInOneRouter dispatches each message to the hosted node its To
+// field names.
 type allInOneRouter struct {
 	sys *core.System
 }
 
-func (r allInOneRouter) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	target := req.Header.Get(transport.HeaderTo)
-	if target == "" {
-		target = core.CloudID
-	}
-	h, err := r.handlerFor(target)
+// Handle implements transport.Handler.
+func (r allInOneRouter) Handle(ctx context.Context, msg transport.Message) ([]byte, error) {
+	h, err := r.handlerFor(msg.To)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+		return nil, err
 	}
-	transport.NewHTTPHandler(target, h).ServeHTTP(w, req)
+	return h.Handle(ctx, msg)
 }
 
 func (r allInOneRouter) handlerFor(target string) (transport.Handler, error) {
@@ -113,4 +99,4 @@ func (h elasticIngestHandler) Handle(ctx context.Context, msg transport.Message)
 	return h.node.Handle(ctx, msg)
 }
 
-var _ http.Handler = allInOneRouter{}
+var _ transport.Handler = allInOneRouter{}

@@ -7,31 +7,22 @@
 // the flags say only where the process listens and how it reaches its
 // parent:
 //
-//	# cloud layer (also serves the open-data API)
-//	f2cd -config city.json -id cloud -listen :8080
+//	# cloud layer (the open-data API on its own HTTP listener)
+//	f2cd -config city.json -id cloud -listen :9000 -opendata-listen :8080
 //
 //	# a district (fog layer 2) node reporting to the cloud
 //	f2cd -config city.json -id fog2/d01 \
-//	     -parent-url http://localhost:8080 -listen :8081
+//	     -parent-addr localhost:9000 -listen :9001
 //
 //	# a section (fog layer 1) node reporting to the district
 //	f2cd -config city.json -id fog1/d01-s01 \
-//	     -parent-url http://localhost:8081 -listen :8082
-//
-// Sensors POST batch envelopes to /f2c/v1/message; f2cctl inspects
-// and controls running nodes.
-//
-// With -transport tcp the message plane runs over the persistent-
-// connection framed tcpnet transport instead of HTTP — the production
-// wire for a multi-process city. Addresses are host:port; a -cluster
-// JSON document (see internal/config.Cluster) wires every peer at
-// once:
-//
-//	f2cd -config city.json -id cloud -transport tcp -listen :9000
-//	f2cd -config city.json -id fog2/d01 -transport tcp \
-//	     -parent-addr localhost:9000 -listen :9001
-//	f2cd -config city.json -id fog1/d01-s01 -transport tcp \
 //	     -parent-addr localhost:9001 -listen :9002
+//
+// Every node, edge and control message runs over the persistent-
+// connection framed tcpnet transport; addresses are host:port. A
+// -cluster JSON document (see internal/config.Cluster) wires every
+// peer at once. Sensors send batch envelopes to a fog layer-1 node
+// with f2cload; f2cctl inspects and controls running nodes.
 package main
 
 import (
@@ -39,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -69,12 +59,10 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("f2cd", flag.ContinueOnError)
 	cfgPath := fs.String("config", "", "deployment JSON: the city and every node setting (default: the Barcelona deployment)")
 	id := fs.String("id", "", "node id in the deployment's topology (e.g. fog1/d01-s01, fog2/d01 or cloud)")
-	listen := fs.String("listen", ":8080", "listen address")
-	transportName := fs.String("transport", config.TransportHTTP, "wire protocol: http|tcp (tcp is the persistent-connection framed transport)")
-	parentURL := fs.String("parent-url", "", "parent base URL (fog layers, http transport)")
-	parentAddr := fs.String("parent-addr", "", "parent host:port (fog layers, tcp transport)")
-	clusterPath := fs.String("cluster", "", "cluster JSON mapping node ids to addresses for -transport (fog layers; wires parent and sibling peers)")
-	opendataListen := fs.String("opendata-listen", "", "HTTP address for the cloud's open-data API when the message plane runs over tcp (empty = no open-data endpoint)")
+	listen := fs.String("listen", ":8080", "tcpnet listen address (host:port)")
+	parentAddr := fs.String("parent-addr", "", "parent host:port (fog layers)")
+	clusterPath := fs.String("cluster", "", "cluster JSON mapping node ids to addresses (fog layers; wires parent and sibling peers)")
+	opendataListen := fs.String("opendata-listen", "", "HTTP address for the cloud's open-data API (cloud and -all-in-one; empty = no open-data endpoint)")
 	allInOne := fs.Bool("all-in-one", false, "run the whole deployment in this process (demo mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,7 +79,7 @@ func run(args []string) error {
 		return err
 	}
 	if *allInOne {
-		return runAllInOne(opts, dep.StandingQueries(), *listen)
+		return runAllInOne(opts, dep.StandingQueries(), *listen, *opendataListen)
 	}
 	if *id == "" {
 		return errors.New("-id is required")
@@ -100,28 +88,16 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("node %q is not in the %s deployment", *id, dep.City)
 	}
-	var tcp bool
-	switch *transportName {
-	case config.TransportHTTP:
-	case config.TransportTCP:
-		tcp = true
-	default:
-		return fmt.Errorf("unknown transport %q (want http|tcp)", *transportName)
-	}
 
 	reg := metrics.NewRegistry()
-	var up uplink
+	var up transport.Transport
 	if spec.Layer != topology.LayerCloud {
-		parent := *parentURL
-		if tcp {
-			parent = *parentAddr
-		}
-		if up, err = dialParent(spec, tcp, reg, parent, *clusterPath); err != nil {
+		tr, err := dialParent(spec, reg, *parentAddr, *clusterPath)
+		if err != nil {
 			return err
 		}
-		if c, ok := up.(io.Closer); ok {
-			defer c.Close()
-		}
+		defer tr.Close()
+		up = tr
 	}
 	n, err := buildNode(opts, spec, up, reg, dep.StandingQueries())
 	if err != nil {
@@ -130,32 +106,23 @@ func run(args []string) error {
 	if n.Fog != nil {
 		n.Fog.Start()
 	}
-	return serveNode(spec, n, tcp, *listen, *opendataListen, reg)
-}
-
-// uplink is a fog daemon's client transport: HTTP or tcpnet.
-type uplink interface {
-	transport.Transport
-	AddPeer(name, addr string)
-}
-
-// dialParent builds a fog node's client transport. The parent's
-// address comes from the -parent-url/-parent-addr flag or the cluster
-// document; with a cluster, every listed node becomes a dialable peer,
-// so sibling relays and federated queries work across the deployment.
-func dialParent(spec topology.NodeSpec, tcp bool, reg *metrics.Registry, parent, clusterPath string) (uplink, error) {
-	want, flagName := config.TransportHTTP, "-parent-url"
-	if tcp {
-		want, flagName = config.TransportTCP, "-parent-addr"
+	var openData http.Handler
+	if n.Cloud != nil {
+		openData = n.Cloud.OpenDataHandler()
 	}
+	return serve(spec.ID, *listen, n.Handler(), reg, openData, *opendataListen, n.Close)
+}
+
+// dialParent builds a fog node's tcpnet client. The parent's address
+// comes from -parent-addr or the cluster document; with a cluster,
+// every listed node becomes a dialable peer, so sibling relays and
+// federated queries work across the deployment.
+func dialParent(spec topology.NodeSpec, reg *metrics.Registry, parent, clusterPath string) (*tcpnet.Transport, error) {
 	var peers map[string]string
 	if clusterPath != "" {
 		cluster, err := config.LoadCluster(clusterPath)
 		if err != nil {
 			return nil, err
-		}
-		if cluster.Transport != want {
-			return nil, fmt.Errorf("cluster %s is for transport %s, not %s", clusterPath, cluster.Transport, want)
 		}
 		peers = cluster.Nodes
 	}
@@ -163,12 +130,9 @@ func dialParent(spec topology.NodeSpec, tcp bool, reg *metrics.Registry, parent,
 		parent = peers[spec.Parent]
 	}
 	if parent == "" {
-		return nil, fmt.Errorf("%s transport needs %s or a -cluster listing parent %s", want, flagName, spec.Parent)
+		return nil, fmt.Errorf("a fog node needs -parent-addr or a -cluster listing parent %s", spec.Parent)
 	}
-	var up uplink = transport.NewHTTPTransport(30 * time.Second)
-	if tcp {
-		up = tcpnet.New(tcpnet.Options{Registry: reg})
-	}
+	up := tcpnet.New(tcpnet.Options{Registry: reg})
 	for id, addr := range peers {
 		up.AddPeer(id, addr)
 	}
@@ -202,41 +166,27 @@ func buildNode(opts core.Options, spec topology.NodeSpec, up transport.Transport
 	return n, nil
 }
 
-// serveNode serves the node's message plane over the chosen transport
-// until SIGINT/SIGTERM, then shuts it down gracefully (final flush
-// included). The cloud's open-data API rides the HTTP message
-// listener, or its own -opendata-listen listener under tcp (it is a
-// public REST surface, not node-to-node traffic).
-func serveNode(spec topology.NodeSpec, n core.Node, tcp bool, listen, opendataListen string, reg *metrics.Registry) error {
-	var stops []func(context.Context) error
-	mux := http.NewServeMux()
-	web := listen
-	if tcp {
-		srv, err := tcpnet.NewServer(spec.ID, listen, n.Handler(), tcpnet.ServerOptions{Registry: reg})
+// serve hosts h on a tcpnet listener until SIGINT/SIGTERM, then stops
+// the listeners and runs closeNodes (final flush included). The
+// cloud's open-data API (openData, when non-nil) is a public REST
+// surface, not node-to-node traffic: it gets its own -opendata-listen
+// HTTP listener.
+func serve(name, listen string, h transport.Handler, reg *metrics.Registry, openData http.Handler, opendataListen string, closeNodes func(context.Context) error) error {
+	srv, err := tcpnet.NewServer(name, listen, h, tcpnet.ServerOptions{Registry: reg})
+	if err != nil {
+		return errors.Join(err, shutdown(closeNodes))
+	}
+	stops := []func(context.Context) error{func(context.Context) error { return srv.Close() }}
+	if openData != nil && opendataListen != "" {
+		web, err := listenHTTP(opendataListen, openData)
 		if err != nil {
-			return errors.Join(err, shutdown(n.Close))
+			return errors.Join(err, shutdown(append(stops, closeNodes)...))
 		}
-		stops = append(stops, func(context.Context) error { return srv.Close() })
-		listen, web = srv.Addr(), ""
-		if n.Cloud != nil {
-			web = opendataListen
-		}
-	} else {
-		mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, n.Handler()))
+		stops = append(stops, web.Shutdown)
 	}
-	if n.Cloud != nil {
-		mux.Handle("/opendata/", n.Cloud.OpenDataHandler())
-	}
-	if web != "" {
-		srv, err := listenHTTP(web, mux)
-		if err != nil {
-			return errors.Join(err, shutdown(append(stops, n.Close)...))
-		}
-		stops = append(stops, srv.Shutdown)
-	}
-	log.Printf("%s node %s listening on %s", spec.Layer, spec.ID, listen)
+	log.Printf("%s listening on %s", name, srv.Addr())
 	waitSignal()
-	return shutdown(append(stops, n.Close)...)
+	return shutdown(append(stops, closeNodes)...)
 }
 
 // listenHTTP binds addr and serves h on it in the background.

@@ -2,11 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
+	"f2c/internal/transport/tcpnet"
 )
 
 // writeDeployment writes a deployment document to a temp file.
@@ -35,11 +37,10 @@ func TestArgValidation(t *testing.T) {
 	cases := [][]string{
 		{},                   // missing id
 		{"-id", "fog1/nope"}, // not in the (default Barcelona) topology
-		{"-config", filepath.Join(t.TempDir(), "missing.json"), "-id", "cloud"}, // missing document
-		{"-config", lzma, "-id", "cloud"},                                       // unknown codec in the document
-		{"-id", "fog1/d01-s01"},                                                 // http fog node without -parent-url
-		{"-id", "fog1/d01-s01", "-transport", "tcp"},                            // tcp fog node without -parent-addr
-		{"-id", "cloud", "-transport", "warp"},                                  // unknown transport
+		{"-config", filepath.Join(t.TempDir(), "missing.json"), "-id", "cloud"},         // missing document
+		{"-config", lzma, "-id", "cloud"},                                               // unknown codec in the document
+		{"-id", "fog1/d01-s01"},                                                         // fog node without -parent-addr or -cluster
+		{"-id", "fog1/d01-s01", "-cluster", filepath.Join(t.TempDir(), "missing.json")}, // missing cluster document
 		{"-bogus"},
 	}
 	for i, args := range cases {
@@ -186,13 +187,17 @@ func TestAllInOneRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(allInOneRouter{sys: sys})
+	srv, err := tcpnet.NewServer("all-in-one", "127.0.0.1:0", allInOneRouter{sys: sys}, tcpnet.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 
-	tr := transport.NewHTTPTransport(5 * time.Second)
+	tr := tcpnet.New(tcpnet.Options{})
+	defer tr.Close()
 	f1 := sys.Fog1IDs()[0]
-	for _, node := range []string{f1, "cloud"} {
-		tr.AddPeer(node, srv.URL)
+	for _, node := range []string{f1, "cloud", "fog1/nope"} {
+		tr.AddPeer(node, srv.Addr())
 	}
 
 	// Ingest a batch at a fog1 node through the gateway.
@@ -230,7 +235,7 @@ func TestAllInOneRouter(t *testing.T) {
 		t.Errorf("gateway query = %+v", resp)
 	}
 
-	// Cloud status through the gateway (default target routing).
+	// Cloud status through the gateway.
 	st, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpStatus})
 	reply, err = tr.Send(context.Background(), transport.Message{
 		From: "ctl", To: "cloud", Kind: transport.KindControl, Payload: st,
@@ -246,12 +251,13 @@ func TestAllInOneRouter(t *testing.T) {
 		t.Errorf("status = %+v", status)
 	}
 
-	// Unknown node -> 404 surfaces as a transport error.
-	tr.AddPeer("fog1/nope", srv.URL)
-	if _, err := tr.Send(context.Background(), transport.Message{
+	// An unknown node surfaces as the gateway's error reply.
+	_, err = tr.Send(context.Background(), transport.Message{
 		From: "x", To: "fog1/nope", Kind: transport.KindQuery, Payload: q,
-	}); err == nil {
-		t.Error("unknown node must fail")
+	})
+	var remote *transport.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown node") {
+		t.Errorf("unknown node: err = %v, want a *transport.RemoteError naming it", err)
 	}
 
 	if err := sys.Close(context.Background()); err != nil {

@@ -2,16 +2,16 @@
 // Sentilo traffic — the sensor layer and the load plane of a
 // multi-process city.
 //
-// Single-node mode (unchanged from earlier revisions):
+// Every request rides the tcpnet transport and is bounded by -timeout.
+// Single-node mode drives one node at its host:port:
 //
-//	f2cload -node http://localhost:8082 -node-id fog1/d01-s01 \
+//	f2cload -node localhost:9002 -node-id fog1/d01-s01 \
 //	        -type temperature -sensors 50 -rounds 10 -interval 500ms
 //
 // Cluster mode drives every fog layer-1 node of a cluster document
-// (citysim -live writes one) over the tcpnet transport with
-// concurrent ingest workers, and optionally a concurrent query plane
-// measuring read latency while ingest runs — the class-isolation
-// experiment:
+// (citysim -live writes one) with concurrent ingest workers, and
+// optionally a concurrent query plane measuring read latency while
+// ingest runs — the class-isolation experiment:
 //
 //	f2cload -cluster cluster.json -workers 32 -sensors 1000 -rounds 50 \
 //	        -query-workers 4 -query-rounds 200 -json results.json
@@ -68,7 +68,6 @@ type planeReport struct {
 
 // report is the JSON document -json writes.
 type report struct {
-	Transport    string       `json:"transport"`
 	SingleStream bool         `json:"singleStream,omitempty"`
 	Targets      []string     `json:"targets"`
 	Workers      int          `json:"workers"`
@@ -84,9 +83,9 @@ type report struct {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("f2cload", flag.ContinueOnError)
-	nodeURL := fs.String("node", "", "target fog node base URL (single-node http mode)")
+	nodeAddr := fs.String("node", "", "target fog node host:port (single-node mode)")
 	nodeID := fs.String("node-id", "fog1/d01-s01", "target node id (message routing)")
-	clusterPath := fs.String("cluster", "", "cluster JSON (tcp mode; targets every fog1 node)")
+	clusterPath := fs.String("cluster", "", "cluster JSON (targets every fog1 node)")
 	typeName := fs.String("type", "temperature", "catalog sensor type to emit")
 	sensors := fs.Int("sensors", 50, "simulated sensors per worker (one reading each per batch)")
 	rounds := fs.Int("rounds", 10, "batches each worker sends")
@@ -107,35 +106,16 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
-	// Resolve transport and ingest targets.
-	var (
-		tr            transport.Transport
-		targets       []string
-		scrapeIDs     []string
-		transportName string
-	)
+	// Resolve peers and ingest targets.
+	var peers map[string]string
+	var targets, scrapeIDs []string
 	switch {
 	case *clusterPath != "":
 		cluster, err := config.LoadCluster(*clusterPath)
 		if err != nil {
 			return err
 		}
-		transportName = cluster.Transport
-		switch cluster.Transport {
-		case config.TransportTCP:
-			ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout, SingleStream: *singleStream})
-			for id, addr := range cluster.Nodes {
-				ttr.AddPeer(id, addr)
-			}
-			defer ttr.Close()
-			tr = ttr
-		case config.TransportHTTP:
-			htr := transport.NewHTTPTransport(*timeout)
-			for id, addr := range cluster.Nodes {
-				htr.AddPeer(id, addr)
-			}
-			tr = htr
-		}
+		peers = cluster.Nodes
 		scrapeIDs = cluster.NodeIDs()
 		for _, id := range scrapeIDs {
 			if strings.HasPrefix(id, "fog1/") {
@@ -145,15 +125,24 @@ func run(args []string, out *os.File) error {
 		if len(targets) == 0 {
 			return fmt.Errorf("cluster has no fog1 nodes to drive")
 		}
-	case *nodeURL != "":
-		transportName = config.TransportHTTP
-		htr := transport.NewHTTPTransport(*timeout)
-		htr.AddPeer(*nodeID, *nodeURL)
-		tr = htr
+	case *nodeAddr != "":
+		peers = map[string]string{*nodeID: *nodeAddr}
 		targets = []string{*nodeID}
 		scrapeIDs = targets
 	default:
 		return fmt.Errorf("-node or -cluster is required")
+	}
+	tr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout, SingleStream: *singleStream})
+	defer tr.Close()
+	for id, addr := range peers {
+		tr.AddPeer(id, addr)
+	}
+	// send bounds every request by -timeout, so a stalled node fails
+	// the run instead of hanging it.
+	send := func(msg transport.Message) ([]byte, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		return tr.Send(ctx, msg)
 	}
 
 	// Ingest plane: each worker owns a generator (distinct node id, so
@@ -166,7 +155,6 @@ func run(args []string, out *os.File) error {
 		ingRej, qRej        int64
 		firstErr            error
 	)
-	ctx := context.Background()
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < *workers; w++ {
@@ -196,7 +184,7 @@ func run(args []string, out *os.File) error {
 					Class: st.Category.String(), Payload: payload,
 				}
 				t0 := time.Now()
-				if _, err := tr.Send(ctx, msg); transport.IsOverload(err) {
+				if _, err := send(msg); transport.IsOverload(err) {
 					// The admission scheduler turned the batch away:
 					// expected shedding under a saturating burst, not a
 					// failure of the harness.
@@ -238,7 +226,7 @@ func run(args []string, out *os.File) error {
 					return
 				}
 				t0 := time.Now()
-				_, err = tr.Send(ctx, transport.Message{
+				_, err = send(transport.Message{
 					From: "f2cload/query", To: target, Kind: transport.KindQuery,
 					Class: transport.ClassQuery, Payload: req,
 				})
@@ -260,7 +248,6 @@ func run(args []string, out *os.File) error {
 	queryElapsed := time.Since(queryStart)
 
 	rep := report{
-		Transport:    transportName,
 		SingleStream: *singleStream,
 		Targets:      targets,
 		Workers:      *workers,
@@ -277,7 +264,7 @@ func run(args []string, out *os.File) error {
 		rep.Query = &qp
 	}
 	if *scrape {
-		rep.Overload, err = scrapeOverload(ctx, tr, scrapeIDs)
+		rep.Overload, err = scrapeOverload(send, scrapeIDs)
 		if err != nil {
 			return err
 		}
@@ -331,14 +318,14 @@ func plane(h *metrics.Histogram, errs int64, elapsed time.Duration) planeReport 
 // plane and sums the overload-control counters — admission scheduler,
 // degrade-to-summary, shed — across the deployment, keyed by counter
 // name with the per-node prefix stripped.
-func scrapeOverload(ctx context.Context, tr transport.Transport, ids []string) (map[string]int64, error) {
+func scrapeOverload(send func(transport.Message) ([]byte, error), ids []string) (map[string]int64, error) {
 	req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpMetrics})
 	if err != nil {
 		return nil, err
 	}
 	sums := make(map[string]int64)
 	for _, id := range ids {
-		reply, err := tr.Send(ctx, transport.Message{
+		reply, err := send(transport.Message{
 			From: "f2cload/scrape", To: id, Kind: transport.KindControl, Payload: req,
 		})
 		if err != nil {

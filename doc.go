@@ -172,9 +172,10 @@
 // flow-control window per peer, so a saturated ingest stream cannot
 // head-of-line-block a real-time read — window exhaustion surfaces as
 // transport.ErrBackpressure, which the flush machinery treats as
-// "defer and retry" rather than parent failure. f2cd -transport tcp
-// serves it, citysim -live hosts a whole loopback city behind it, and
-// cmd/f2cload drives O(100k)-sensor load planes against it
+// "defer and retry" rather than parent failure. It is the only
+// transport between processes: f2cd serves it, citysim -live hosts a
+// whole loopback city behind it, and cmd/f2cload drives O(100k)-sensor
+// load planes against it
 // (scripts/tcpsmoke.sh is the multi-process smoke;
 // scripts/loadbench.sh records throughput, per-plane latency and the
 // class-isolation result in BENCH_PR6.json).

@@ -7,37 +7,19 @@ import (
 	"sort"
 )
 
-// Transport names accepted by Cluster.Transport.
-const (
-	// TransportTCP selects the persistent-connection tcpnet transport
-	// (addresses are "host:port").
-	TransportTCP = "tcp"
-	// TransportHTTP selects the net/http transport (addresses are
-	// base URLs, "http://host:port").
-	TransportHTTP = "http"
-)
-
 // Cluster maps the node ids of a multi-process deployment onto their
-// network addresses, so every daemon, load driver and control tool
-// reads the same one document instead of repeating -parent-url wiring
+// tcpnet addresses, so every daemon, load driver and control tool
+// reads the same one document instead of repeating -parent-addr wiring
 // per process. citysim's live mode writes one for the hierarchy it
 // hosts.
 type Cluster struct {
-	// Transport selects the wire protocol: "tcp" or "http".
-	Transport string `json:"transport"`
 	// Nodes maps node id (e.g. "fog1/d01-s01", "cloud") to the
-	// address the node listens on.
+	// "host:port" address the node listens on.
 	Nodes map[string]string `json:"nodes"`
 }
 
 // Validate checks the document.
 func (c Cluster) Validate() error {
-	switch c.Transport {
-	case TransportTCP, TransportHTTP:
-	default:
-		return fmt.Errorf("config: unknown cluster transport %q (want %q or %q)",
-			c.Transport, TransportTCP, TransportHTTP)
-	}
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("config: cluster has no nodes")
 	}
@@ -50,15 +32,6 @@ func (c Cluster) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Addr resolves a node id to its address.
-func (c Cluster) Addr(id string) (string, error) {
-	addr, ok := c.Nodes[id]
-	if !ok {
-		return "", fmt.Errorf("config: cluster has no node %q", id)
-	}
-	return addr, nil
 }
 
 // NodeIDs returns the sorted node ids.

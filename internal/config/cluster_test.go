@@ -8,7 +8,6 @@ import (
 
 func TestClusterRoundTrip(t *testing.T) {
 	c := Cluster{
-		Transport: TransportTCP,
 		Nodes: map[string]string{
 			"cloud":        "127.0.0.1:9000",
 			"fog2/d01":     "127.0.0.1:9001",
@@ -26,13 +25,6 @@ func TestClusterRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, c) {
 		t.Errorf("round-trip mismatch: %+v != %+v", got, c)
 	}
-	addr, err := got.Addr("fog2/d01")
-	if err != nil || addr != "127.0.0.1:9001" {
-		t.Errorf("Addr = %q, %v", addr, err)
-	}
-	if _, err := got.Addr("fog2/d99"); err == nil {
-		t.Error("Addr of unknown node succeeded")
-	}
 	want := []string{"cloud", "fog1/d01-s01", "fog2/d01"}
 	if ids := got.NodeIDs(); !reflect.DeepEqual(ids, want) {
 		t.Errorf("NodeIDs = %v, want %v", ids, want)
@@ -44,10 +36,9 @@ func TestClusterValidate(t *testing.T) {
 		name string
 		c    Cluster
 	}{
-		{"unknown transport", Cluster{Transport: "udp", Nodes: map[string]string{"cloud": "x"}}},
-		{"no nodes", Cluster{Transport: TransportTCP}},
-		{"empty address", Cluster{Transport: TransportHTTP, Nodes: map[string]string{"cloud": ""}}},
-		{"empty id", Cluster{Transport: TransportTCP, Nodes: map[string]string{"": "x"}}},
+		{"no nodes", Cluster{}},
+		{"empty address", Cluster{Nodes: map[string]string{"cloud": ""}}},
+		{"empty id", Cluster{Nodes: map[string]string{"": "x"}}},
 	}
 	for _, tc := range cases {
 		if err := tc.c.Validate(); err == nil {
@@ -56,5 +47,10 @@ func TestClusterValidate(t *testing.T) {
 	}
 	if _, err := ParseCluster([]byte("{")); err == nil {
 		t.Error("ParseCluster accepted malformed JSON")
+	}
+	// Documents written before the cluster had only one transport
+	// still carry a "transport" key; it is ignored.
+	if _, err := ParseCluster([]byte(`{"transport": "tcp", "nodes": {"cloud": "127.0.0.1:9000"}}`)); err != nil {
+		t.Errorf("ParseCluster rejected a document with a transport key: %v", err)
 	}
 }

@@ -4,12 +4,16 @@
 # hierarchy (fog1 -> fog2 -> cloud) on loopback, drive ingest through
 # f2cload, flush each layer upward, answer a query and a summary at
 # the cloud, scrape transport metrics, then shut everything down with
-# SIGTERM and verify every daemon exited cleanly.
+# SIGTERM and verify every daemon exited cleanly. A second leg boots
+# the same city in one process (f2cd -all-in-one) behind one tcpnet
+# port, addresses the cloud and a fog node through it, drives one
+# f2cload round, reads the open-data API and stops it with SIGTERM.
 #
 # Usage:
 #   scripts/tcpsmoke.sh [base-port]
 #
-# base-port defaults to 9400 (cloud), +1 fog2, +2 fog1.
+# base-port defaults to 9400 (cloud), +1 fog2, +2 fog1, +3 the
+# all-in-one message port, +4 its open-data HTTP port.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,13 +21,16 @@ BASE="${1:-9400}"
 CLOUD_ADDR="127.0.0.1:$BASE"
 FOG2_ADDR="127.0.0.1:$((BASE + 1))"
 FOG1_ADDR="127.0.0.1:$((BASE + 2))"
+AIO_ADDR="127.0.0.1:$((BASE + 3))"
+AIO_WEB="127.0.0.1:$((BASE + 4))"
 
 WORK="$(mktemp -d)"
 CLOUD_PID=""
 FOG2_PID=""
 FOG1_PID=""
+AIO_PID=""
 cleanup() {
-	for pid in "$FOG1_PID" "$FOG2_PID" "$CLOUD_PID"; do
+	for pid in "$FOG1_PID" "$FOG2_PID" "$CLOUD_PID" "$AIO_PID"; do
 		[ -n "$pid" ] && kill "$pid" 2>/dev/null || true
 	done
 	rm -rf "$WORK"
@@ -35,7 +42,7 @@ go build -o "$WORK/f2cd" ./cmd/f2cd
 go build -o "$WORK/f2cctl" ./cmd/f2cctl
 go build -o "$WORK/f2cload" ./cmd/f2cload
 
-CTL="$WORK/f2cctl -transport tcp"
+CTL="$WORK/f2cctl"
 
 # One deployment document describes the whole city; each process hosts
 # the node its -id names in it. Hour-long flush periods keep the
@@ -55,7 +62,7 @@ cat >"$WORK/city.json" <<EOF
 EOF
 
 echo "== starting cloud + fog2 + fog1 over tcpnet"
-F2CD="$WORK/f2cd -config $WORK/city.json -transport tcp"
+F2CD="$WORK/f2cd -config $WORK/city.json"
 $F2CD -id cloud -listen "$CLOUD_ADDR" >"$WORK/cloud.log" 2>&1 &
 CLOUD_PID=$!
 $F2CD -id fog2/d01 -parent-addr "$CLOUD_ADDR" \
@@ -82,9 +89,9 @@ wait_ready "$FOG2_ADDR" fog2/d01
 wait_ready "$FOG1_ADDR" fog1/d01-s01
 echo "   all three nodes answering over tcp"
 
-echo "== driving ingest through f2cload (cluster mode, tcp)"
+echo "== driving ingest through f2cload (cluster mode)"
 cat >"$WORK/cluster.json" <<EOF
-{"transport": "tcp", "nodes": {"fog1/d01-s01": "$FOG1_ADDR"}}
+{"nodes": {"fog1/d01-s01": "$FOG1_ADDR"}}
 EOF
 "$WORK/f2cload" -cluster "$WORK/cluster.json" \
 	-type temperature -workers 2 -sensors 25 -rounds 3 -interval 0
@@ -139,4 +146,25 @@ if [ "$FAIL" -ne 0 ]; then
 	cat "$WORK"/*.log >&2
 	exit 1
 fi
-echo "== tcp smoke OK: ingest, federated read, metrics, clean shutdown"
+echo "   three daemons exited cleanly"
+
+echo "== all-in-one: the whole city behind one tcpnet port"
+$F2CD -all-in-one -listen "$AIO_ADDR" -opendata-listen "$AIO_WEB" \
+	>"$WORK/allinone.log" 2>&1 &
+AIO_PID=$!
+wait_ready "$AIO_ADDR" cloud
+wait_ready "$AIO_ADDR" fog1/d01-s01
+echo "   cloud and fog1 answering through the gateway"
+"$WORK/f2cload" -node "$AIO_ADDR" -node-id fog1/d01-s01 \
+	-type temperature -sensors 25 -rounds 1 -interval 0
+CATEGORIES="$(curl -fsS "http://$AIO_WEB/opendata/v1/categories")"
+echo "   open data: $CATEGORIES"
+kill -TERM "$AIO_PID"
+if ! wait "$AIO_PID"; then
+	AIO_PID=""
+	echo "the all-in-one daemon exited non-zero on SIGTERM" >&2
+	cat "$WORK/allinone.log" >&2
+	exit 1
+fi
+AIO_PID=""
+echo "== tcp smoke OK: ingest, federated read, metrics, all-in-one gateway, clean shutdown"
